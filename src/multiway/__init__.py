@@ -46,8 +46,10 @@ from .errors import (
 from .estimators import (
     EcdfSpec,
     EstimateResult,
+    Fitted,
     LinearModelSpec,
     ecdf_eval,
+    fit,
     mean_estimate,
     ols_fit,
     ols_sandwich,
@@ -58,6 +60,7 @@ from .variance import (
     CenteredScores,
     VarianceEstimate,
     WaldRegion,
+    estimate_variance,
     sigma_subset,
     vhat1,
     vhat2,

@@ -13,13 +13,13 @@ import csv
 import json
 import os
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
 
 from .bootstrap import percentile_ci, run_bootstrap, symmetric_abs_ci
-from .data import Dimensions, cell_sums, identity_statistic
+from .data import Dimensions
 from .dataio import read_dataset, write_dataset_csv, write_json
 from .errors import (
     ConfigError,
@@ -33,41 +33,17 @@ from .errors import (
     SingularVarianceError,
     UnsupportedError,
 )
-from .estimators import (
-    EcdfSpec,
-    LinearModelSpec,
-    mean_estimate,
-    ols_cell_data,
-    ols_fit,
-    ols_sandwich,
-    quantile_data,
-    quantile_estimate,
-    ratio_cell_sums,
-    ratio_estimate,
-    weighted_mean,
-    weighted_ols,
-    weighted_quantile,
-    weighted_ratio,
-)
-from .gmm import (
-    OptimizerConfig,
-    WeightMatrix,
-    cell_moment_sums,
-    gmm_bootstrap_estimator,
-    gmm_fit,
-    gmm_variance,
-    probit_score_moments,
-    quantile_iv_moments,
-)
+from .estimators import EcdfSpec, Fitted, LinearModelSpec, fit
+from .gmm import OptimizerConfig, probit_score_moments, quantile_iv_moments
 from .simulation import CellSizeLaw, DgpSpec, McConfig, generate, run_coverage
-from .variance import (
-    VarianceEstimate,
-    sigma_subset,
-    vhat1,
-    vhat2,
-    vhat_cgm,
-    wald_region,
-)
+from .variance import sigma_subset, vhat1, vhat_cgm, wald_region
+
+# Unused here, but the benchmark's span tracer (perfbench/spans.py) replaces
+# these names in this module's namespace, so they must stay importable from it.
+from .data import cell_sums  # noqa: F401
+from .estimators import mean_estimate, ols_fit, ratio_cell_sums, ratio_estimate  # noqa: F401
+from .gmm import gmm_fit  # noqa: F401
+from .variance import vhat2  # noqa: F401
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -202,105 +178,32 @@ def _gmm_model_from_config(path):
     return model, config, two_step
 
 
-class _Fitted:
-    """One estimator fitted to one dataset, with its variance and
-    re-estimation hooks."""
-
-    def __init__(self, kind, theta, scores, hook, prepared, meta, variance_fn):
-        self.kind = kind
-        self.theta = theta
-        self.scores = scores
-        self.hook = hook
-        self.prepared = prepared
-        self.meta = meta
-        self.variance_fn = variance_fn  # (vkind, adjustment) -> VarianceEstimate
+def _gmm_options(args) -> dict:
+    if not args.model_config:
+        raise ConfigError("gmm estimation needs --model-config")
+    model, config, two_step = _gmm_model_from_config(args.model_config)
+    if getattr(args, "seed", None) is not None:
+        config = replace(config, seed=args.seed)
+    return {"model": model, "config": config, "two_step": two_step}
 
 
-def _fit(args, sample) -> _Fitted:
-    kind = args.estimator
-    if kind == "mean":
-        res = mean_estimate(sample)
-        sums = cell_sums(sample, identity_statistic(sample.obs_dim))
-        fn = lambda vkind, adj: _plain_variance(res.scores, vkind, adj)
-        return _Fitted("mean", res.theta, res.scores, weighted_mean, sums, res.meta, fn)
-    if kind == "ratio":
-        res = ratio_estimate(sample)
-        fn = lambda vkind, adj: _plain_variance(res.scores, vkind, adj)
-        return _Fitted(
-            "ratio", res.theta, res.scores, weighted_ratio, ratio_cell_sums(sample), res.meta, fn
-        )
-    if kind == "ols":
-        spec = LinearModelSpec(
+# The flags each estimator reads, as estimators.fit options.
+_FIT_OPTIONS = {
+    "ols": lambda args: {
+        "spec": LinearModelSpec(
             outcome_index=args.outcome,
             regressor_indices=_parse_ints(args.regressors) if args.regressors else (),
             intercept=args.intercept,
         )
-        res = ols_fit(sample, spec)
-        meta = {
-            "n_units": res.meta["n_units"],
-            "residual_norm": res.meta["residual_norm"],
-            "gram_condition": res.meta["gram_condition"],
-        }
-        fn = lambda vkind, adj: ols_sandwich(res, kind=vkind, adjustment=adj)
-        return _Fitted(
-            "ols", res.theta, res.scores, weighted_ols, ols_cell_data(sample, spec), meta, fn
-        )
-    if kind == "quantile":
-        spec = EcdfSpec(coordinate=args.coordinate)
-        res = quantile_estimate(sample, spec, args.tau)
-        data = quantile_data(sample, spec, args.tau)
-
-        def no_variance(vkind, adj):
-            raise UnsupportedError(
-                "quantiles have no analytic variance; use the bootstrap"
-            )
-
-        return _Fitted("quantile", res.theta, None, weighted_quantile, data, res.meta, no_variance)
-    if kind == "gmm":
-        if not args.model_config:
-            raise ConfigError("gmm estimation needs --model-config")
-        model, config, two_step = _gmm_model_from_config(args.model_config)
-        if getattr(args, "seed", None) is not None:
-            config = OptimizerConfig(
-                n_starts=config.n_starts,
-                max_evals=config.max_evals,
-                tol=config.tol,
-                seed=args.seed,
-            )
-        fit = gmm_fit(sample, model, config=config, two_step=two_step)
-        scores = cell_moment_sums(sample, model, fit.theta)
-        meta = {
-            "objective_value": fit.objective_value,
-            "n_evaluations": fit.trace["n_evaluations"],
-        }
-
-        def fn(vkind, adj):
-            meat = _plain_variance(scores, vkind, adj)
-            if fit.jhat is None:
-                raise UnsupportedError(
-                    "nonsmooth model has no Jacobian; use the bootstrap"
-                )
-            sandwich = gmm_variance(fit.jhat, meat.matrix, fit.weight)
-            return VarianceEstimate(
-                matrix=sandwich,
-                kind=meat.kind,
-                lambda_hats=meat.lambda_hats,
-                adjustments=meat.adjustments,
-            )
-
-        hook = gmm_bootstrap_estimator(model, config=config, warm_start=fit.theta)
-        return _Fitted("gmm", fit.theta, scores, hook, sample, meta, fn)
-    raise ConfigError(f"unknown estimator {kind!r}")
+    },
+    "quantile": lambda args: {"spec": EcdfSpec(coordinate=args.coordinate), "tau": args.tau},
+    "gmm": _gmm_options,
+}
 
 
-def _plain_variance(scores, vkind, adjustment):
-    if vkind == "v1":
-        return vhat1(scores)
-    if vkind == "v2":
-        return vhat2(scores)
-    if vkind == "cgm":
-        return vhat_cgm(scores, adjustment=adjustment)
-    raise ConfigError(f"unknown variance kind {vkind!r}")
+def _fit(args, sample) -> Fitted:
+    options = _FIT_OPTIONS.get(args.estimator)
+    return fit(args.estimator, sample, **(options(args) if options else {}))
 
 
 def _load_input(args):
@@ -324,7 +227,7 @@ def cmd_estimate(args) -> int:
     variances = {}
     regions = {}
     for vkind in kinds:
-        est = fitted.variance_fn(vkind, args.adjustment)
+        est = fitted.variance(vkind, args.adjustment)
         variances[vkind] = est
         regions[vkind] = wald_region(fitted.theta, est, sample.dims, args.alpha)
 

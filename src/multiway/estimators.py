@@ -5,11 +5,15 @@ score vectors that the variance estimators consume, and has a weighted
 companion (suffix ``weighted_``) that re-estimates under pigeonhole
 weights by multiplying every per-cell sum by W_j. With identity weights
 the weighted companions reproduce the unweighted estimate exactly.
+:func:`fit` is the one dispatch over all estimators, GMM included.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from functools import partial
+from typing import Callable
+
 import numpy as np
 
 from .bootstrap import PigeonholeWeights
@@ -22,16 +26,32 @@ from .data import (
     count_statistic,
     identity_statistic,
 )
-from .errors import EmptySampleError, ShapeError, SingularDesignError
-from .variance import CenteredScores, VarianceEstimate, vhat1, vhat2, vhat_cgm
+from .errors import (
+    ConfigError,
+    EmptySampleError,
+    ShapeError,
+    SingularDesignError,
+    UnsupportedError,
+)
+from .gmm import (
+    MomentModel,
+    OptimizerConfig,
+    cell_moment_sums,
+    gmm_bootstrap_estimator,
+    gmm_fit,
+    gmm_variance,
+)
+from .variance import CenteredScores, VarianceEstimate, estimate_variance
 
 __all__ = [
     "EcdfSpec",
     "EstimateResult",
+    "Fitted",
     "LinearModelSpec",
     "OlsCellData",
     "QuantileData",
     "ecdf_eval",
+    "fit",
     "mean_estimate",
     "ols_cell_data",
     "ols_fit",
@@ -57,6 +77,35 @@ class EstimateResult:
     theta: np.ndarray
     scores: CenteredScores | None
     meta: dict = field(default_factory=dict)
+
+
+@dataclass(frozen=True)
+class Fitted:
+    """One estimator fitted to one sample, as :func:`fit` returns it.
+
+    ``scores`` feed the variance estimators (None: no analytic variance).
+    ``bread`` maps a meat matrix to the sandwich (None: the meat is the
+    variance). ``hook(prepared, weights)`` re-estimates theta under
+    pigeonhole weights for :func:`multiway.bootstrap.run_bootstrap`.
+    """
+
+    kind: str
+    theta: np.ndarray
+    scores: CenteredScores | None
+    bread: Callable[[np.ndarray], np.ndarray] | None
+    hook: Callable
+    prepared: object
+    meta: dict
+
+    def variance(self, kind: str, adjustment: str = "unit") -> VarianceEstimate:
+        """Variance of theta: the :func:`estimate_variance` meat of the
+        scores first, then the bread."""
+        if self.scores is None:
+            raise UnsupportedError("quantiles have no analytic variance; use the bootstrap")
+        meat = estimate_variance(self.scores, kind, adjustment)
+        if self.bread is None:
+            return meat
+        return replace(meat, matrix=self.bread(meat.matrix))
 
 
 # ---------------------------------------------------------------------
@@ -197,6 +246,13 @@ def ols_fit(sample: ClusteredSample, spec: LinearModelSpec) -> EstimateResult:
     )
 
 
+def _ols_bread(jhat: np.ndarray, meat: np.ndarray) -> np.ndarray:
+    """J^-1 H J^-1, symmetrized."""
+    jinv_h = _solve_gram(jhat, meat)
+    v = _solve_gram(jhat, jinv_h.T).T
+    return 0.5 * (v + v.T)
+
+
 def ols_sandwich(
     result: EstimateResult, kind: str = "v1", adjustment: str = "unit"
 ) -> VarianceEstimate:
@@ -208,22 +264,9 @@ def ols_sandwich(
     jhat = result.meta.get("jhat")
     if jhat is None or result.scores is None:
         raise ValueError("result does not come from ols_fit")
-    if kind == "v1":
-        meat = vhat1(result.scores)
-    elif kind == "v2":
-        meat = vhat2(result.scores)
-    elif kind == "cgm":
-        meat = vhat_cgm(result.scores, adjustment=adjustment)
-    else:
-        raise ValueError(f"unknown sandwich kind {kind!r}")
-    jinv_h = _solve_gram(jhat, meat.matrix)
-    v = _solve_gram(jhat, jinv_h.T).T
-    return VarianceEstimate(
-        matrix=0.5 * (v + v.T),
-        kind=meat.kind,
-        lambda_hats=meat.lambda_hats,
-        adjustments=meat.adjustments,
-    )
+    bread = partial(_ols_bread, jhat)
+    fitted = Fitted("ols", result.theta, result.scores, bread, None, None, result.meta)
+    return fitted.variance(kind, adjustment)
 
 
 @dataclass(frozen=True)
@@ -356,3 +399,63 @@ def weighted_quantile(data: QuantileData, weights: PigeonholeWeights) -> np.ndar
     cum = np.cumsum(uw)
     k = int(np.searchsorted(cum, data.tau * total - 1e-9, side="left"))
     return np.array([data.sorted_values[k]])
+
+
+# ---------------------------------------------------------------------
+# Registry
+# ---------------------------------------------------------------------
+
+
+def _no_jacobian(meat: np.ndarray) -> np.ndarray:
+    raise UnsupportedError("nonsmooth model has no Jacobian; use the bootstrap")
+
+
+def fit(
+    kind: str,
+    sample: ClusteredSample,
+    *,
+    spec: LinearModelSpec | EcdfSpec | None = None,
+    tau: float = 0.5,
+    model: MomentModel | None = None,
+    config: OptimizerConfig | None = None,
+    two_step: bool = False,
+) -> Fitted:
+    """Fit estimator ``kind`` ("mean", "ratio", "ols", "quantile" or "gmm").
+
+    ``spec`` is the :class:`LinearModelSpec` for "ols" and the
+    :class:`EcdfSpec` (with level ``tau``) for "quantile". "gmm" fits
+    ``model`` with the optimizer ``config`` and ``two_step`` of
+    :func:`multiway.gmm.gmm_fit`.
+    """
+    if kind == "mean":
+        res = mean_estimate(sample)
+        sums = cell_sums(sample, identity_statistic(sample.obs_dim))
+        return Fitted(kind, res.theta, res.scores, None, weighted_mean, sums, res.meta)
+    if kind == "ratio":
+        res = ratio_estimate(sample)
+        sums = ratio_cell_sums(sample)
+        return Fitted(kind, res.theta, res.scores, None, weighted_ratio, sums, res.meta)
+    if kind == "ols":
+        res = ols_fit(sample, spec)
+        bread = partial(_ols_bread, res.meta["jhat"])
+        # meta goes into the estimate diagnostics JSON: no jhat, and this key order
+        meta = {key: res.meta[key] for key in ("n_units", "residual_norm", "gram_condition")}
+        data = ols_cell_data(sample, spec)
+        return Fitted(kind, res.theta, res.scores, bread, weighted_ols, data, meta)
+    if kind == "quantile":
+        res = quantile_estimate(sample, spec, tau)
+        data = quantile_data(sample, spec, tau)
+        return Fitted(kind, res.theta, None, None, weighted_quantile, data, res.meta)
+    if kind == "gmm":
+        res = gmm_fit(sample, model, config=config, two_step=two_step)
+        scores = cell_moment_sums(sample, model, res.theta)
+        bread = (
+            _no_jacobian if res.jhat is None else partial(gmm_variance, res.jhat, xi=res.weight)
+        )
+        hook = gmm_bootstrap_estimator(model, config=config, warm_start=res.theta)
+        meta = {
+            "objective_value": res.objective_value,
+            "n_evaluations": res.trace["n_evaluations"],
+        }
+        return Fitted(kind, res.theta, scores, bread, hook, sample, meta)
+    raise ConfigError(f"unknown estimator {kind!r}")

@@ -18,28 +18,19 @@ import numpy as np
 from scipy import integrate, special
 
 from .bootstrap import percentile_ci, run_bootstrap, symmetric_abs_ci
-from .data import ClusteredSample, Dimensions, cell_sums, identity_statistic
+from .data import ClusteredSample, Dimensions
 from .errors import ConfigError, MultiwayError, UnsupportedError
-from .estimators import (
-    EcdfSpec,
-    mean_estimate,
-    quantile_data,
-    quantile_estimate,
-    ratio_cell_sums,
-    ratio_estimate,
-    weighted_mean,
-    weighted_quantile,
-    weighted_ratio,
-)
-from .gmm import (
-    cell_moment_sums,
-    gmm_bootstrap_estimator,
-    gmm_fit,
-    gmm_variance,
-    probit_score_moments,
-)
+from .estimators import EcdfSpec, fit
+from .gmm import probit_score_moments
 from .seeding import TAG_BOOT, TAG_DATA, derive_seed
-from .variance import VarianceEstimate, vhat1, vhat2, vhat_cgm, wald_region
+from .variance import vhat1, wald_region
+
+# Unused here, but the benchmark's span tracer (perfbench/spans.py) replaces
+# these names in this module's namespace, so they must stay importable from it.
+from .data import cell_sums  # noqa: F401
+from .estimators import mean_estimate, ratio_cell_sums, ratio_estimate  # noqa: F401
+from .gmm import gmm_fit  # noqa: F401
+from .variance import vhat2, vhat_cgm  # noqa: F401
 
 __all__ = [
     "CellSizeLaw",
@@ -55,7 +46,14 @@ __all__ = [
 
 VARIANTS = ("additive", "additive3", "product", "probit")
 METHODS = ("wald-v1", "wald-v2", "wald-cgm", "boot-symabs", "boot-percentile")
-ESTIMATORS = ("mean", "ratio", "median", "probit")
+# Each harness estimator as the estimators.fit call it makes.
+_FIT_ARGS = {
+    "mean": ("mean", {}),
+    "ratio": ("ratio", {}),
+    "median": ("quantile", {"spec": EcdfSpec(0), "tau": 0.5}),
+    "probit": ("gmm", {"model": probit_score_moments(0, 1)}),
+}
+ESTIMATORS = tuple(_FIT_ARGS)
 
 
 @dataclass(frozen=True)
@@ -388,51 +386,19 @@ def _interval_length(intervals: np.ndarray) -> float:
     return float(widths.mean())
 
 
-def _fit_and_scores(config: McConfig, sample):
-    """Point estimate, variance scores (or None), and the bootstrap hook."""
-    kind = config.estimator
-    if kind == "mean":
-        res = mean_estimate(sample)
-        sums = cell_sums(sample, identity_statistic(sample.obs_dim))
-        return res.theta, res.scores, None, (weighted_mean, sums)
-    if kind == "ratio":
-        res = ratio_estimate(sample)
-        return res.theta, res.scores, None, (weighted_ratio, ratio_cell_sums(sample))
-    if kind == "median":
-        res = quantile_estimate(sample, EcdfSpec(0), 0.5)
-        data = quantile_data(sample, EcdfSpec(0), 0.5)
-        return res.theta, None, None, (weighted_quantile, data)
-    # probit
-    model = probit_score_moments(0, 1)
-    fit = gmm_fit(sample, model)
-    hook = gmm_bootstrap_estimator(model, warm_start=fit.theta)
-    return fit.theta, cell_moment_sums(sample, model, fit.theta), fit, (hook, sample)
-
-
-def _wald_variance(config: McConfig, method: str, scores, fit) -> VarianceEstimate | np.ndarray:
-    kind = method.split("-", 1)[1]
-    if kind == "v1":
-        meat = vhat1(scores)
-    elif kind == "v2":
-        meat = vhat2(scores)
-    else:
-        meat = vhat_cgm(scores, adjustment=config.adjustment)
-    if fit is None:
-        return meat
-    return gmm_variance(fit.jhat, meat.matrix, fit.weight)
-
-
 def _one_replication(config: McConfig, r: int) -> dict:
     theta0 = true_theta(config.dgp, config.estimator)
     sample, _ = generate(config.dgp, config.dims, derive_seed(config.seed, r, TAG_DATA))
     out: dict = {"covered": {}, "length": {}, "failed": {}}
+    kind, options = _FIT_ARGS[config.estimator]
     try:
-        theta, scores, fit, (hook, prepared) = _fit_and_scores(config, sample)
+        fitted = fit(kind, sample, **options)
     except MultiwayError:
         for m in config.methods:
             out["failed"][m] = True
         out["theta"] = None
         return out
+    theta, scores = fitted.theta, fitted.scores
     out["theta"] = theta.tolist()
 
     if scores is not None:
@@ -449,7 +415,7 @@ def _one_replication(config: McConfig, r: int) -> dict:
         if not method.startswith("wald"):
             continue
         try:
-            v = _wald_variance(config, method, scores, fit)
+            v = fitted.variance(method.split("-", 1)[1], config.adjustment)
             region = wald_region(theta, v, config.dims, config.alpha)
         except MultiwayError:
             out["failed"][method] = True
@@ -460,7 +426,10 @@ def _one_replication(config: McConfig, r: int) -> dict:
     if any(m.startswith("boot") for m in config.methods):
         try:
             reps = run_bootstrap(
-                hook, prepared, config.bootstrap_b, derive_seed(config.seed, r, TAG_BOOT)
+                fitted.hook,
+                fitted.prepared,
+                config.bootstrap_b,
+                derive_seed(config.seed, r, TAG_BOOT),
             )
             out["boot_se"] = reps.thetas.std(axis=0, ddof=1).tolist()
             if "boot-symabs" in config.methods:

@@ -14,18 +14,19 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 from scipy import stats
 
-from .data import CellSums, Dimensions, margin_sum, subset_margin_sum
-from .errors import DegenerateDesignError, SingularVarianceError
+from .data import CellSums, Dimensions, subset_margin_sum
+from .errors import ConfigError, DegenerateDesignError, SingularVarianceError
 
 __all__ = [
     "CenteredScores",
     "VarianceEstimate",
     "WaldRegion",
+    "estimate_variance",
     "sigma_subset",
     "vhat1",
     "vhat2",
@@ -77,49 +78,47 @@ def _pair_sum(scores: CellSums, axes: Sequence[int]) -> np.ndarray:
     return m.T @ m
 
 
-def _dim_adjustments(dims: Dimensions, adjustments) -> np.ndarray:
-    if adjustments is None:
-        return np.ones(dims.k)
-    adj = np.asarray(adjustments, dtype=np.float64)
-    if adj.shape != (dims.k,):
-        raise ValueError(f"need one adjustment per dimension, got shape {adj.shape}")
-    return adj
+def _combine(scores: CellSums, coef: Callable[[tuple[int, ...]], float]) -> np.ndarray:
+    """sum of coef(T) * (pair sum over cells agreeing on T) over the nonempty
+    axis subsets T, by size and then lexicographically; a zero coefficient
+    skips its pair sum. Every variance estimator is one coefficient row."""
+    k = scores.dims.k
+    out = np.zeros((scores.out_dim, scores.out_dim))
+    for r in range(1, k + 1):
+        for axes in itertools.combinations(range(k), r):
+            c = coef(axes)
+            if c:
+                out += c * _pair_sum(scores, axes)
+    return out
 
 
-def vhat1(scores: CenteredScores, adjustments=None) -> VarianceEstimate:
+def vhat1(scores: CenteredScores) -> VarianceEstimate:
     """Positive-by-construction estimator: outer products of margin averages.
 
     For each dimension i it averages g g' over the C_i per-cluster margin
     averages g of the scores, weighted by c_min / C_i. Per dimension that
-    weight collapses to c_min / pi_c^2 on the raw margin sums. Optional
-    per-dimension factors multiply each summand (default 1, which makes the
-    algebraic identities with the other estimators exact).
+    weight collapses to c_min / pi_c^2 on the raw margin sums, so only the
+    one-way subsets carry a coefficient.
     """
     dims = scores.dims
-    adj = _dim_adjustments(dims, adjustments)
     scale = dims.c_min / dims.pi_c**2
-    out = np.zeros((scores.out_dim, scores.out_dim))
-    for i in range(dims.k):
-        m = margin_sum(scores, i)
-        out += adj[i] * scale * (m.T @ m)
     return VarianceEstimate(
-        matrix=out,
+        matrix=_combine(scores, lambda axes: scale if len(axes) == 1 else 0.0),
         kind="v1",
         lambda_hats=dims.lambda_hats(),
-        adjustments={"per_dimension": adj.tolist()},
+        adjustments={"per_dimension": [1.0] * dims.k},
     )
 
 
-def vhat2(scores: CenteredScores, adjustments=None) -> VarianceEstimate:
+def vhat2(scores: CenteredScores) -> VarianceEstimate:
     """Average of score cross products over pairs sharing exactly one cluster.
 
     Dimension i contributes (c_min / C_i) times the average of D_j D_j''
     over A_i = {(j, j'): j_i = j'_i, j_s != j'_s for all s != i}. The A_i
-    sum is assembled by inclusion-exclusion over margin sums instead of
-    pair enumeration. Not necessarily positive semidefinite.
+    sum is assembled by inclusion-exclusion over the subsets containing i
+    instead of pair enumeration. Not necessarily positive semidefinite.
     """
     dims = scores.dims
-    adj = _dim_adjustments(dims, adjustments)
     if dims.k >= 2:
         for s, c in enumerate(dims.counts):
             if c < 2:
@@ -133,17 +132,13 @@ def vhat2(scores: CenteredScores, adjustments=None) -> VarianceEstimate:
         n_pairs = dims.counts[i] * math.prod(
             c * (c - 1) for s, c in enumerate(dims.counts) if s != i
         )
-        others = [s for s in range(dims.k) if s != i]
-        acc = np.zeros_like(out)
-        for r in range(len(others) + 1):
-            for extra in itertools.combinations(others, r):
-                acc += (-1.0) ** r * _pair_sum(scores, (i, *extra))
-        out += adj[i] * lambda_hats[i] / n_pairs * acc
+        acc = _combine(scores, lambda axes: (-1.0) ** (len(axes) - 1) if i in axes else 0.0)
+        out += lambda_hats[i] / n_pairs * acc
     return VarianceEstimate(
         matrix=out,
         kind="v2",
         lambda_hats=lambda_hats,
-        adjustments={"per_dimension": adj.tolist()},
+        adjustments={"per_dimension": [1.0] * dims.k},
     )
 
 
@@ -171,19 +166,33 @@ def vhat_cgm(scores: CenteredScores, adjustment: str = "unit") -> VarianceEstima
     (prod C / (prod C - 1) over the subset).
     """
     dims = scores.dims
-    out = np.zeros((scores.out_dim, scores.out_dim))
     scale = dims.c_min / dims.pi_c**2
-    for r in range(1, dims.k + 1):
-        sign = (-1.0) ** (r + 1)
-        for axes in itertools.combinations(range(dims.k), r):
-            c = _cgm_factor(dims, axes, adjustment)
-            out += sign * c * scale * _pair_sum(scores, axes)
+
+    def coef(axes):
+        return (-1.0) ** (len(axes) + 1) * _cgm_factor(dims, axes, adjustment) * scale
+
     return VarianceEstimate(
-        matrix=out,
+        matrix=_combine(scores, coef),
         kind="cgm",
         lambda_hats=dims.lambda_hats(),
         adjustments={"preset": adjustment},
     )
+
+
+def estimate_variance(
+    scores: CenteredScores, kind: str, adjustment: str = "unit"
+) -> VarianceEstimate:
+    """The variance estimator named by ``kind``: "v1", "v2" or "cgm".
+
+    ``adjustment`` is the :func:`vhat_cgm` preset and only applies to "cgm".
+    """
+    if kind == "v1":
+        return vhat1(scores)
+    if kind == "v2":
+        return vhat2(scores)
+    if kind == "cgm":
+        return vhat_cgm(scores, adjustment=adjustment)
+    raise ConfigError(f"unknown variance kind {kind!r}")
 
 
 def sigma_subset(
