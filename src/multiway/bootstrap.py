@@ -19,7 +19,7 @@ from typing import Callable
 import numpy as np
 
 from .data import CellSums, Dimensions
-from .errors import InsufficientReplicatesError, ShapeError
+from .errors import InsufficientReplicatesError, MultiwayError, ShapeError
 from .seeding import stream_rng
 
 __all__ = [
@@ -109,6 +109,14 @@ class BootstrapReplicates:
         return self.thetas.shape[1]
 
 
+# Exceptions that count a replicate as failed; anything else (TypeError,
+# KeyError, ...) is a programming error and propagates. RuntimeError stays
+# in because hooks signal run-time failures with it (ConvergenceError is one).
+_REPLICATE_FAILURES = (
+    MultiwayError, np.linalg.LinAlgError, FloatingPointError, RuntimeError
+)
+
+
 def run_bootstrap(
     estimator: Callable,
     sample,
@@ -122,9 +130,10 @@ def run_bootstrap(
     given :class:`PigeonholeWeights`; with identity weights it must
     reproduce the unweighted estimate, which is stored as ``theta_hat``.
     Replicate b draws its weights from the stream (seed, b), so results are
-    identical for any ``n_workers``. Replicates that raise or return
-    non-finite values are dropped and counted; more than 1% failures emits
-    a warning.
+    identical for any ``n_workers``. Replicates that raise a
+    :class:`MultiwayError`, ``LinAlgError``, ``FloatingPointError`` or
+    ``RuntimeError``, or return non-finite values, are dropped and counted;
+    more than 1% failures emits a warning. Any other exception propagates.
     """
     if b < 1:
         raise ValueError("need at least one replicate")
@@ -137,7 +146,7 @@ def run_bootstrap(
         w = draw_weights(dims, stream_rng(seed, idx))
         try:
             theta = np.atleast_1d(np.asarray(estimator(sample, w), dtype=np.float64))
-        except Exception:
+        except _REPLICATE_FAILURES:
             return None
         return theta if np.all(np.isfinite(theta)) else None
 

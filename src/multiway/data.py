@@ -30,7 +30,9 @@ __all__ = [
     "load_sample",
     "margin_sum",
     "pair_counts",
+    "sample_from_cell_ids",
     "subset_margin_sum",
+    "sum_by_cell",
 ]
 
 
@@ -193,12 +195,10 @@ def load_sample(
     only needed when ``records`` is empty (defaults to 1 then).
     """
     records = list(records)
-    if not records:
-        d = 1 if obs_dim is None else int(obs_dim)
-        return ClusteredSample(
-            dims, np.empty((0, d)), np.zeros(dims.pi_c + 1, dtype=np.int64)
-        )
-    d = len(records[0][1]) if obs_dim is None else int(obs_dim)
+    if obs_dim is not None:
+        d = int(obs_dim)
+    else:
+        d = len(records[0][1]) if records else 1
     flat_ids = np.empty(len(records), dtype=np.int64)
     values = np.empty((len(records), d), dtype=np.float64)
     for r, (coords, y) in enumerate(records):
@@ -208,18 +208,38 @@ def load_sample(
                 f"record {r}: observation length {len(y)} != {d}"
             )
         values[r] = y
+    return sample_from_cell_ids(dims, flat_ids, values)
+
+
+def sample_from_cell_ids(
+    dims: Dimensions, flat_ids: np.ndarray, values: np.ndarray
+) -> ClusteredSample:
+    """Group unit rows by flat cell id, keeping input order within each cell."""
     order = np.argsort(flat_ids, kind="stable")
     sizes = np.bincount(flat_ids, minlength=dims.pi_c)
     offsets = np.concatenate(([0], np.cumsum(sizes)))
     return ClusteredSample(dims, values[order], offsets.astype(np.int64))
 
 
+def sum_by_cell(sample: ClusteredSample, rows: np.ndarray) -> np.ndarray:
+    """Per-cell sums of per-unit rows, shape (n_units, ...) -> (pi_c, ...).
+
+    One ``np.bincount`` per column adds in unit order starting from 0.0, so
+    the sums are bit-identical to ``np.add.at`` into zeros; empty cells are 0.
+    """
+    ids, n_cells = sample.unit_cell_ids, sample.dims.pi_c
+    cols = rows.reshape(rows.shape[0], math.prod(rows.shape[1:]))
+    out = np.empty((n_cells, cols.shape[1]))
+    for j in range(cols.shape[1]):
+        out[:, j] = np.bincount(ids, weights=cols[:, j], minlength=n_cells)
+    return out.reshape((n_cells, *rows.shape[1:]))
+
+
 def cell_sums(sample: ClusteredSample, stat: CellStatistic) -> CellSums:
     """S_j = sum over the units of cell j of stat(Y); zero vector for empty cells."""
-    out = np.zeros((sample.dims.pi_c, stat.out_dim))
-    if sample.n_units:
-        np.add.at(out, sample.unit_cell_ids, stat(sample.values))
-    return CellSums(sample.dims, out)
+    if not sample.n_units:
+        return CellSums(sample.dims, np.zeros((sample.dims.pi_c, stat.out_dim)))
+    return CellSums(sample.dims, sum_by_cell(sample, stat(sample.values)))
 
 
 def margin_sum(sums: CellSums, axis: int) -> np.ndarray:

@@ -25,6 +25,7 @@ from .data import (
     cell_sums,
     count_statistic,
     identity_statistic,
+    sum_by_cell,
 )
 from .errors import (
     ConfigError,
@@ -231,8 +232,7 @@ def ols_fit(sample: ClusteredSample, spec: LinearModelSpec) -> EstimateResult:
     gram = X.T @ X
     theta = _solve_gram(gram, X.T @ y)
     resid = y - X @ theta
-    scores = np.zeros((sample.dims.pi_c, X.shape[1]))
-    np.add.at(scores, sample.unit_cell_ids, X * resid[:, None])
+    scores = sum_by_cell(sample, X * resid[:, None])
     evals = np.linalg.eigvalsh(gram)
     return EstimateResult(
         theta=theta,
@@ -280,12 +280,8 @@ class OlsCellData:
 
 def ols_cell_data(sample: ClusteredSample, spec: LinearModelSpec) -> OlsCellData:
     X, y = spec.design(sample.values)
-    p = X.shape[1]
-    xtx = np.zeros((sample.dims.pi_c, p, p))
-    xty = np.zeros((sample.dims.pi_c, p))
-    ids = sample.unit_cell_ids
-    np.add.at(xtx, ids, X[:, :, None] * X[:, None, :])
-    np.add.at(xty, ids, X * y[:, None])
+    xtx = sum_by_cell(sample, X[:, :, None] * X[:, None, :])
+    xty = sum_by_cell(sample, X * y[:, None])
     return OlsCellData(sample.dims, xtx, xty)
 
 

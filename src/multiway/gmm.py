@@ -16,10 +16,10 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-from scipy import optimize, special
+from scipy import special
 
 from .bootstrap import PigeonholeWeights
-from .data import ClusteredSample
+from .data import ClusteredSample, sum_by_cell
 from .errors import (
     ConvergenceError,
     EmptySampleError,
@@ -157,9 +157,7 @@ def cell_moment_sums(
 ) -> CenteredScores:
     """Per-cell moment sums D_j(theta), the scores feeding the H estimator."""
     m = model.moments(sample.values, theta)
-    out = np.zeros((sample.dims.pi_c, model.n_moments))
-    np.add.at(out, sample.unit_cell_ids, m)
-    return CenteredScores(sample.dims, out)
+    return CenteredScores(sample.dims, sum_by_cell(sample, m))
 
 
 def gmm_objective(
@@ -365,6 +363,8 @@ def _minimize(sample, model, xi, config, unit_weights=None, starts=None):
                 "grid search exhausted its budget", best_theta=theta, best_value=val
             )
         return theta, val, budget.used
+
+    from scipy import optimize  # deferred: slow to import, needed only here
 
     best = (None, np.inf)
     any_converged = False

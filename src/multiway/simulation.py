@@ -15,7 +15,7 @@ from dataclasses import asdict, dataclass, field
 from typing import Sequence
 
 import numpy as np
-from scipy import integrate, special
+from scipy import special
 
 from .bootstrap import percentile_ci, run_bootstrap, symmetric_abs_ci
 from .data import ClusteredSample, Dimensions
@@ -212,6 +212,8 @@ def _per_unit_mean(dgp: DgpSpec) -> float:
     if s == 0 or law.mu == 0:
         return 0.0
 
+    from scipy import integrate  # deferred: slow to import, needed only here
+
     def phi(a):
         return math.exp(-0.5 * (a / s) ** 2) / (s * math.sqrt(2 * math.pi))
 
@@ -229,6 +231,8 @@ def _mean_cell_size(dgp: DgpSpec) -> float:
     s = dgp.sigma_factors[0]
     if s == 0:
         return 1.0 + law.mu * 0.5
+
+    from scipy import integrate  # deferred: slow to import, needed only here
 
     def phi(a):
         return math.exp(-0.5 * (a / s) ** 2) / (s * math.sqrt(2 * math.pi))

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy import stats
+from scipy import special
 
 from .data import CellSums, Dimensions, subset_margin_sum
 from .errors import ConfigError, DegenerateDesignError, SingularVarianceError
@@ -264,13 +264,15 @@ def wald_region(
     if matrix.shape != (m, m):
         raise ValueError(f"variance shape {matrix.shape} does not match theta ({m},)")
     precision = _invert_pd(matrix, "variance estimate")
-    half = stats.norm.ppf(1 - alpha / 2) * np.sqrt(np.diag(matrix) / dims.c_min)
+    # ndtri and 2 * gammaincinv(m / 2, .) are the normal and chi-square
+    # quantiles that scipy.stats evaluates, without importing scipy.stats.
+    half = special.ndtri(1 - alpha / 2) * np.sqrt(np.diag(matrix) / dims.c_min)
     return WaldRegion(
         center=center,
         matrix=matrix,
         precision=precision,
         c_min=dims.c_min,
         alpha=alpha,
-        threshold=float(stats.chi2.ppf(1 - alpha, df=m)),
+        threshold=float(2 * special.gammaincinv(m / 2, 1 - alpha)),
         intervals=np.column_stack((center - half, center + half)),
     )
