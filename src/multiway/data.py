@@ -24,6 +24,7 @@ __all__ = [
     "CellSums",
     "ClusteredSample",
     "Dimensions",
+    "cell_subsample",
     "cell_sums",
     "count_statistic",
     "identity_statistic",
@@ -219,6 +220,13 @@ def sample_from_cell_ids(
     sizes = np.bincount(flat_ids, minlength=dims.pi_c)
     offsets = np.concatenate(([0], np.cumsum(sizes)))
     return ClusteredSample(dims, values[order], offsets.astype(np.int64))
+
+
+def cell_subsample(sample: ClusteredSample, cells: np.ndarray) -> ClusteredSample:
+    """The units of the cells where the (pi_c,) mask ``cells`` is True, same dims."""
+    sizes = np.where(cells, sample.cell_sizes, 0)
+    offsets = np.concatenate(([0], np.cumsum(sizes)))
+    return ClusteredSample(sample.dims, sample.values[cells[sample.unit_cell_ids]], offsets)
 
 
 def sum_by_cell(sample: ClusteredSample, rows: np.ndarray) -> np.ndarray:

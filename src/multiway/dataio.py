@@ -104,11 +104,16 @@ def _read_csv_block(path, dims: Dimensions) -> ClusteredSample | None:
                 table = np.loadtxt(fh, dtype=row, delimiter=",", comments=None, ndmin=1)
     except (ValueError, Warning):  # ParseError and UnicodeDecodeError included
         return None
-    coords = table["cell"] - 1
+    return _sample_in_bounds(dims, table["cell"], table["y"])
+
+
+def _sample_in_bounds(dims: Dimensions, coords, values) -> ClusteredSample | None:
+    """Sample from 1-based (n, k) coordinates; None if any is out of bounds."""
+    coords = coords - 1
     if not ((coords >= 0) & (coords < dims.counts)).all():
         return None
     flat_ids = np.ravel_multi_index(tuple(coords.T), dims.counts)
-    return sample_from_cell_ids(dims, flat_ids, table["y"])
+    return sample_from_cell_ids(dims, flat_ids, values)
 
 
 def _read_csv_rows(path, dims: Dimensions) -> ClusteredSample:
@@ -142,6 +147,13 @@ def _read_csv_rows(path, dims: Dimensions) -> ClusteredSample:
 
 
 def read_dataset_json(path) -> ClusteredSample:
+    """Parse a JSON dataset.
+
+    The units are gathered into one coordinate and one value array when
+    every ``cell`` is a list of k ints in bounds and every ``y`` a list of
+    numbers of one length; anything else is re-read by the unit loop,
+    which raises the ParseError (or ShapeError for ragged ``y``).
+    """
     with open(path, encoding="utf-8") as fh:
         try:
             doc = json.load(fh)
@@ -152,6 +164,29 @@ def read_dataset_json(path) -> ClusteredSample:
         units = doc["units"]
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"bad dataset document: {exc}") from None
+    sample = _json_units_block(units, dims)
+    return sample if sample is not None else _json_units_loop(units, dims)
+
+
+def _json_units_block(units, dims: Dimensions) -> ClusteredSample | None:
+    """Vectorized build; None when the unit loop has to decide."""
+    if not isinstance(units, list) or not units:
+        return None
+    try:
+        coords = np.array([unit["cell"] for unit in units])
+        values = np.array([unit["y"] for unit in units])
+    except (KeyError, TypeError, ValueError):  # ValueError: ragged lists
+        return None
+    # an int dtype means JSON integers (or booleans) only, which int() maps as numpy does
+    if coords.dtype.kind != "i" or coords.shape != (len(units), dims.k):
+        return None
+    if values.dtype.kind not in "iuf" or values.ndim != 2:
+        return None
+    return _sample_in_bounds(dims, coords, values.astype(np.float64))
+
+
+def _json_units_loop(units, dims: Dimensions) -> ClusteredSample:
+    """Unit-by-unit build with ``int``/``float``; names the bad unit."""
     records = []
     for i, unit in enumerate(units):
         try:

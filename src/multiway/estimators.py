@@ -117,7 +117,10 @@ class Fitted:
 def mean_estimate(sample: ClusteredSample, stat: CellStatistic | None = None) -> EstimateResult:
     """Mean of the cell sums S_j(f); scores are the centered sums S_j - theta."""
     stat = stat or identity_statistic(sample.obs_dim)
-    sums = cell_sums(sample, stat)
+    return _mean_from_sums(sample, cell_sums(sample, stat))
+
+
+def _mean_from_sums(sample: ClusteredSample, sums: CellSums) -> EstimateResult:
     theta = sums.values.mean(axis=0)
     return EstimateResult(
         theta=theta,
@@ -151,7 +154,10 @@ def ratio_estimate(sample: ClusteredSample, stat: CellStatistic | None = None) -
     are T_j = (S_j - N_j theta) / (mean cell size), the linearization whose
     variance is estimated exactly like the plain mean's.
     """
-    sums = ratio_cell_sums(sample, stat)
+    return _ratio_from_sums(sample, ratio_cell_sums(sample, stat))
+
+
+def _ratio_from_sums(sample: ClusteredSample, sums: CellSums) -> EstimateResult:
     s, n = sums.values[:, :-1], sums.values[:, -1:]
     total = float(n.sum())
     if total <= 0:
@@ -424,12 +430,12 @@ def fit(
     :func:`multiway.gmm.gmm_fit`.
     """
     if kind == "mean":
-        res = mean_estimate(sample)
         sums = cell_sums(sample, identity_statistic(sample.obs_dim))
+        res = _mean_from_sums(sample, sums)
         return Fitted(kind, res.theta, res.scores, None, weighted_mean, sums, res.meta)
     if kind == "ratio":
-        res = ratio_estimate(sample)
         sums = ratio_cell_sums(sample)
+        res = _ratio_from_sums(sample, sums)
         return Fitted(kind, res.theta, res.scores, None, weighted_ratio, sums, res.meta)
     if kind == "ols":
         res = ols_fit(sample, spec)

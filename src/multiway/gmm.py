@@ -19,7 +19,7 @@ import numpy as np
 from scipy import special
 
 from .bootstrap import PigeonholeWeights
-from .data import ClusteredSample, sum_by_cell
+from .data import ClusteredSample, cell_subsample, sum_by_cell
 from .errors import (
     ConvergenceError,
     EmptySampleError,
@@ -446,15 +446,31 @@ def gmm_bootstrap_estimator(
     Every per-cell moment sum is multiplied by the cell weight W_j
     (equivalent to replicating cells). ``warm_start`` (typically the full-
     sample estimate) replaces the default multistart for speed.
+
+    Each replicate re-optimizes on the units of the cells with W_j != 0
+    only (about 60% of the cells of a 2-way design draw W_j = 0), keeping
+    ``dims`` so that m_bar still divides by pi_c. The units dropped would
+    add exact zeros ``0 * m`` to the weighted sums, so m_bar and J_hat
+    keep their full-sample bits wherever numpy adds the unit rows in
+    order, as it does for a C-ordered (n, L >= 2) array such as the probit
+    score's; theta is then the same bit for bit. Other layouts (one
+    moment, or the column-ordered quantile-IV moments) are summed pairwise
+    and may move in the last bit; the grid and Nelder-Mead theta, chosen
+    by comparing piecewise-constant objective levels, change only if two
+    levels tie to within that bit. When no unit has a nonzero weight the
+    full sample is used, and for identity weights the sample itself.
     """
+    xi = xi or WeightMatrix.identity(model.n_moments)
+    config = config or OptimizerConfig()
     starts = None if warm_start is None else [np.asarray(warm_start, dtype=np.float64)]
 
     def estimator(sample: ClusteredSample, weights: PigeonholeWeights) -> np.ndarray:
-        uw = weights.cell_weights()[sample.unit_cell_ids].astype(np.float64)
-        xi_eff = xi or WeightMatrix.identity(model.n_moments)
-        theta, _, _ = _minimize(
-            sample, model, xi_eff, config or OptimizerConfig(), uw, starts
-        )
+        w = weights.cell_weights()
+        uw = w[sample.unit_cell_ids].astype(np.float64)
+        kept = uw != 0
+        if 0 < np.count_nonzero(kept) < sample.n_units:
+            sample, uw = cell_subsample(sample, w != 0), uw[kept]
+        theta, _, _ = _minimize(sample, model, xi, config, uw, starts)
         return theta
 
     return estimator

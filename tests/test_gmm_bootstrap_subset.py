@@ -1,0 +1,189 @@
+"""The GMM bootstrap hook re-optimizes on the units of nonzero-weight cells only.
+
+Each check compares the hook with ``_minimize`` on the full sample under the
+replicate's unit weights, zero-weight units included: theta must agree bit
+for bit.
+"""
+
+import numpy as np
+import pytest
+
+import multiway.gmm as gmm
+from multiway import ClusteredSample, Dimensions, PigeonholeWeights
+from multiway.bootstrap import draw_weights
+from multiway.data import cell_subsample, sample_from_cell_ids
+from multiway.gmm import (
+    OptimizerConfig,
+    WeightMatrix,
+    gmm_bootstrap_estimator,
+    gmm_fit,
+    gmm_jhat,
+    moment_bar,
+    probit_score_moments,
+    quantile_iv_moments,
+)
+from multiway.seeding import stream_rng
+
+N_DRAWS = 50
+GRID = OptimizerConfig(grid_points=41, grid_rounds=4)
+
+
+def _sample(counts, mu, seed):
+    """Columns: w, x1, x2, z1 (= x1), z2 (= x2), binary y; Poisson cell sizes."""
+    rng = np.random.default_rng(seed)
+    dims = Dimensions(counts)
+    ids = np.repeat(np.arange(dims.pi_c), rng.poisson(mu, dims.pi_c))
+    n = ids.shape[0]
+    x1 = rng.uniform(0.5, 2.0, n)
+    x2 = rng.uniform(-1.0, 1.0, n)
+    e = rng.normal(size=n)
+    w = x1 - 0.5 * x2 + e
+    y = (0.3 + 0.8 * x1 + e > 0).astype(np.float64)
+    return sample_from_cell_ids(dims, ids, np.column_stack([w, x1, x2, x1, x2, y]))
+
+
+PATHS = {
+    # Gauss-Newton on the smooth probit score
+    "probit": (probit_score_moments(5, 1), (20, 20), 3.0, OptimizerConfig()),
+    # bracketing grid on a scalar nonsmooth model
+    "quantile_iv_grid": (
+        quantile_iv_moments(0.5, 0, [1], [3], bounds=[(-5, 5)]),
+        (12, 12),
+        3.0,
+        GRID,
+    ),
+    # Nelder-Mead on a two-parameter nonsmooth model
+    "quantile_iv_nelder_mead": (
+        quantile_iv_moments(0.5, 0, [1, 2], [3, 4], bounds=[(-5, 5), (-5, 5)]),
+        (8, 8),
+        3.0,
+        OptimizerConfig(),
+    ),
+}
+
+
+def _reference(sample, model, config, weights, warm):
+    """theta from the full sample with zero-weight units left in."""
+    uw = weights.cell_weights()[sample.unit_cell_ids].astype(np.float64)
+    xi = WeightMatrix.identity(model.n_moments)
+    return gmm._minimize(sample, model, xi, config, uw, [warm])[0]
+
+
+@pytest.fixture
+def minimized_samples(monkeypatch):
+    """Record the sample of every ``_minimize`` call."""
+    seen = []
+    original = gmm._minimize
+
+    def spy(sample, *args, **kwargs):
+        seen.append(sample)
+        return original(sample, *args, **kwargs)
+
+    monkeypatch.setattr(gmm, "_minimize", spy)
+    return seen
+
+
+@pytest.mark.parametrize("path", sorted(PATHS))
+def test_hook_theta_bit_identical_to_full_sample(path):
+    model, counts, mu, config = PATHS[path]
+    sample = _sample(counts, mu, seed=3)
+    warm = gmm_fit(sample, model, config=config).theta
+    hook = gmm_bootstrap_estimator(model, config=config, warm_start=warm)
+    subset_draws = 0
+    for b in range(N_DRAWS):
+        weights = draw_weights(sample.dims, stream_rng(11, b))
+        uw = weights.cell_weights()[sample.unit_cell_ids]
+        subset_draws += 0 < np.count_nonzero(uw) < sample.n_units
+        got = hook(sample, weights)
+        assert got.tobytes() == _reference(sample, model, config, weights, warm).tobytes(), b
+    assert subset_draws == N_DRAWS
+
+
+def test_replicate_minimizes_over_nonzero_weight_units(minimized_samples):
+    model, counts, mu, config = PATHS["probit"]
+    sample = _sample(counts, mu, seed=4)
+    hook = gmm_bootstrap_estimator(model, config=config, warm_start=np.array([0.3, 0.8]))
+    weights = draw_weights(sample.dims, stream_rng(5, 0))
+    w = weights.cell_weights()
+    hook(sample, weights)
+    (sub,) = minimized_samples
+    assert sub.dims == sample.dims
+    np.testing.assert_array_equal(sub.cell_sizes, np.where(w != 0, sample.cell_sizes, 0))
+    np.testing.assert_array_equal(sub.values, sample.values[w[sample.unit_cell_ids] != 0])
+
+
+def test_probit_sums_bit_identical_on_subset():
+    # numpy adds the rows of the C-ordered (n, 2) probit moments in unit
+    # order, so dropping exact zero terms leaves m_bar and J_hat unchanged
+    model = probit_score_moments(5, 1)
+    sample = _sample((20, 20), 3.0, seed=6)
+    theta = np.array([0.2, 0.7])
+    for b in range(N_DRAWS):
+        w = draw_weights(sample.dims, stream_rng(13, b)).cell_weights()
+        uw = w[sample.unit_cell_ids].astype(np.float64)
+        sub = cell_subsample(sample, w != 0)
+        kept = uw[uw != 0]
+        assert (
+            moment_bar(sub, model, theta, kept).tobytes()
+            == moment_bar(sample, model, theta, uw).tobytes()
+        )
+        assert (
+            gmm_jhat(sub, model, theta, kept).tobytes()
+            == gmm_jhat(sample, model, theta, uw).tobytes()
+        )
+
+
+def test_identity_weights_take_full_sample(minimized_samples):
+    model, counts, mu, config = PATHS["probit"]
+    sample = _sample(counts, mu, seed=7)
+    fit = gmm_fit(sample, model)
+    hook = gmm_bootstrap_estimator(model, warm_start=fit.theta)
+    minimized_samples.clear()
+    theta = hook(sample, PigeonholeWeights.identity(sample.dims))
+    assert len(minimized_samples) == 1 and minimized_samples[0] is sample
+    np.testing.assert_allclose(theta, fit.theta, atol=1e-6)
+
+
+def _sparse_sample():
+    """3x3 lattice with units in row 1 only: cells (1,1), (1,2) and (1,3)."""
+    rng = np.random.default_rng(8)
+    dims = Dimensions((3, 3))
+    ids = np.repeat(np.arange(3), 4)
+    x1 = rng.uniform(0.5, 2.0, ids.shape[0])
+    y = (rng.normal(size=ids.shape[0]) + x1 > 1.0).astype(np.float64)
+    w = rng.normal(size=ids.shape[0])
+    return sample_from_cell_ids(dims, ids, np.column_stack([w, x1, x1, y]))
+
+
+@pytest.mark.parametrize(
+    "model,config",
+    [
+        (probit_score_moments(3, 1), OptimizerConfig()),
+        (quantile_iv_moments(0.5, 0, [1], [2], bounds=[(-5, 5)]), GRID),
+    ],
+    ids=["probit", "quantile_iv_grid"],
+)
+def test_no_nonzero_unit_uses_full_sample(model, config, minimized_samples):
+    sample = _sparse_sample()
+    # row 1 drawn zero times: every occupied cell gets weight 0
+    weights = PigeonholeWeights(
+        sample.dims, (np.array([0, 3, 0]), np.array([1, 1, 1]))
+    )
+    assert not weights.cell_weights()[sample.unit_cell_ids].any()
+    warm = np.full(model.n_params, 0.25)
+    theta = gmm_bootstrap_estimator(model, config=config, warm_start=warm)(sample, weights)
+    assert minimized_samples[0] is sample
+    expected = _reference(sample, model, config, weights, warm)
+    assert theta.tobytes() == expected.tobytes()
+
+
+def test_cell_subsample_keeps_dims_and_order():
+    dims = Dimensions((2, 3))
+    values = np.arange(12.0).reshape(6, 2)
+    sample = ClusteredSample(dims, values, np.array([0, 2, 2, 3, 5, 5, 6]))
+    sub = cell_subsample(sample, np.array([True, True, False, True, False, True]))
+    assert sub.dims == dims
+    np.testing.assert_array_equal(sub.offsets, [0, 2, 2, 2, 4, 4, 5])
+    np.testing.assert_array_equal(sub.values, values[[0, 1, 3, 4, 5]])
+    empty = cell_subsample(sample, np.zeros(6, dtype=bool))
+    assert empty.n_units == 0 and empty.offsets.shape == (7,)
