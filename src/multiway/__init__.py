@@ -45,7 +45,6 @@ from .errors import (
 )
 from .estimators import (
     EcdfSpec,
-    EstimateResult,
     Fitted,
     LinearModelSpec,
     ecdf_eval,

@@ -91,7 +91,33 @@ def _effective_seed(seed: int | None) -> int:
 def _workers(args) -> int:
     if getattr(args, "workers", None) is not None:
         return max(1, args.workers)
-    return max(1, int(os.environ.get(WORKERS_ENV, "1")))
+    raw = os.environ.get(WORKERS_ENV, "1")
+    try:
+        return max(1, int(raw))
+    except ValueError:
+        raise ConfigError(f"{WORKERS_ENV}: expected an integer, got {raw!r}") from None
+
+
+_JSON_KINDS = {int: "an integer", float: "a number", list: "a JSON array", dict: "a JSON object"}
+
+
+def _expect(value, kind: type, path: str):
+    """``value`` if it has the JSON type ``kind`` (float admits integers,
+    neither admits booleans); otherwise a ConfigError naming ``path``."""
+    types = (int, float) if kind is float else kind
+    if not isinstance(value, types) or isinstance(value, bool):
+        raise ConfigError(f"{path}: expected {_JSON_KINDS[kind]}, got {type(value).__name__}")
+    return value
+
+
+def _read_config(path, what: str) -> dict:
+    """The JSON object in the file ``path``; ``what`` names it in errors."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            doc = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ConfigError(f"{what}: {exc}") from None
+    return _expect(doc, dict, what)
 
 
 # ---------------------------------------------------------------------
@@ -141,11 +167,7 @@ def cmd_simulate(args) -> int:
 
 
 def _gmm_model_from_config(path):
-    with open(path, encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"model config: {exc}") from None
+    doc = _read_config(path, "model config")
     family = doc.get("family")
     bounds = doc.get("bounds")
     try:
@@ -167,12 +189,12 @@ def _gmm_model_from_config(path):
             raise ConfigError(f"model config family: unknown {family!r}")
     except KeyError as exc:
         raise ConfigError(f"model config: missing field {exc}") from None
-    opt = doc.get("optimizer", {})
+    opt = _expect(doc.get("optimizer", {}), dict, "model config optimizer")
     config = OptimizerConfig(
-        n_starts=opt.get("n_starts", 5),
-        max_evals=opt.get("max_evals", 10000),
-        tol=opt.get("tol", 1e-9),
-        seed=opt.get("seed", 0),
+        n_starts=_expect(opt.get("n_starts", 5), int, "optimizer.n_starts"),
+        max_evals=_expect(opt.get("max_evals", 10000), int, "optimizer.max_evals"),
+        tol=_expect(opt.get("tol", 1e-9), float, "optimizer.tol"),
+        seed=_expect(opt.get("seed", 0), int, "optimizer.seed"),
     )
     two_step = doc.get("xi", "identity") == "two_step"
     return model, config, two_step
@@ -318,36 +340,35 @@ def _require(doc: dict, key: str, path: str):
 
 
 def _mc_config_from_doc(doc: dict, workers: int) -> McConfig:
-    dgp_doc = dict(_require(doc, "dgp", ""))
-    sizes_doc = dgp_doc.pop("cell_sizes", None)
-    cell_sizes = CellSizeLaw(**sizes_doc) if sizes_doc else CellSizeLaw()
+    dgp_doc = dict(_expect(_require(doc, "dgp", ""), dict, "dgp"))
+    sizes_doc = _expect(dgp_doc.pop("cell_sizes", None) or {}, dict, "dgp.cell_sizes")
+    try:
+        cell_sizes = CellSizeLaw(**sizes_doc)
+    except TypeError as exc:
+        raise ConfigError(f"dgp.cell_sizes: {exc}") from None
     for key in ("sigma_factors", "beta", "error_rho"):
         if key in dgp_doc:
-            dgp_doc[key] = tuple(dgp_doc[key])
+            dgp_doc[key] = tuple(_expect(dgp_doc[key], list, f"dgp.{key}"))
     try:
         dgp = DgpSpec(cell_sizes=cell_sizes, **dgp_doc)
     except TypeError as exc:
         raise ConfigError(f"dgp: {exc}") from None
     return McConfig(
         dgp=dgp,
-        dims=Dimensions(tuple(_require(doc, "dims", ""))),
-        replications=_require(doc, "replications", ""),
-        alpha=doc.get("alpha", 0.05),
-        methods=tuple(doc.get("methods", ["wald-v1"])),
-        bootstrap_b=doc.get("bootstrap_b", 0),
+        dims=Dimensions(tuple(_expect(_require(doc, "dims", ""), list, "dims"))),
+        replications=_expect(_require(doc, "replications", ""), int, "replications"),
+        alpha=_expect(doc.get("alpha", 0.05), float, "alpha"),
+        methods=tuple(_expect(doc.get("methods", ["wald-v1"]), list, "methods")),
+        bootstrap_b=_expect(doc.get("bootstrap_b", 0), int, "bootstrap_b"),
         estimator=doc.get("estimator", "ratio"),
-        seed=doc.get("seed", 0),
+        seed=_expect(doc.get("seed", 0), int, "seed"),
         n_workers=workers,
         adjustment=doc.get("adjustment", "unit"),
     )
 
 
 def cmd_mc(args) -> int:
-    with open(args.config, encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"config: {exc}") from None
+    doc = _read_config(args.config, "config")
     config = _mc_config_from_doc(doc, _workers(args))
     print(f"seed: {config.seed}", file=sys.stderr)
     total = config.replications

@@ -1,16 +1,17 @@
 """Concrete estimators: mean, ratio mean, OLS, ECDF and quantiles.
 
-Each estimator returns its point estimate together with the per-cell
-score vectors that the variance estimators consume, and has a weighted
-companion (suffix ``weighted_``) that re-estimates under pigeonhole
-weights by multiplying every per-cell sum by W_j. With identity weights
-the weighted companions reproduce the unweighted estimate exactly.
-:func:`fit` is the one dispatch over all estimators, GMM included.
+Each estimator returns a :class:`Fitted`: its point estimate, the
+per-cell score vectors that the variance estimators consume, and its
+weighted companion (suffix ``weighted_``) as the bootstrap hook, together
+with the per-cell data the hook re-estimates from by multiplying every
+per-cell sum by W_j. With identity weights the weighted companions
+reproduce the unweighted estimate exactly. :func:`fit` is the one
+dispatch over all estimators, GMM included.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from functools import partial
 from typing import Callable
 
@@ -46,7 +47,6 @@ from .variance import CenteredScores, VarianceEstimate, estimate_variance
 
 __all__ = [
     "EcdfSpec",
-    "EstimateResult",
     "Fitted",
     "LinearModelSpec",
     "OlsCellData",
@@ -71,18 +71,8 @@ GRAM_CONDITION_CAP = 1e12
 
 
 @dataclass(frozen=True)
-class EstimateResult:
-    """Point estimate, the cell scores feeding the variance estimators, and
-    estimator-specific diagnostics."""
-
-    theta: np.ndarray
-    scores: CenteredScores | None
-    meta: dict = field(default_factory=dict)
-
-
-@dataclass(frozen=True)
 class Fitted:
-    """One estimator fitted to one sample, as :func:`fit` returns it.
+    """One estimator fitted to one sample, as every estimator returns it.
 
     ``scores`` feed the variance estimators (None: no analytic variance).
     ``bread`` maps a meat matrix to the sandwich (None: the meat is the
@@ -114,19 +104,13 @@ class Fitted:
 # ---------------------------------------------------------------------
 
 
-def mean_estimate(sample: ClusteredSample, stat: CellStatistic | None = None) -> EstimateResult:
+def mean_estimate(sample: ClusteredSample, stat: CellStatistic | None = None) -> Fitted:
     """Mean of the cell sums S_j(f); scores are the centered sums S_j - theta."""
     stat = stat or identity_statistic(sample.obs_dim)
-    return _mean_from_sums(sample, cell_sums(sample, stat))
-
-
-def _mean_from_sums(sample: ClusteredSample, sums: CellSums) -> EstimateResult:
+    sums = cell_sums(sample, stat)
     theta = sums.values.mean(axis=0)
-    return EstimateResult(
-        theta=theta,
-        scores=CenteredScores(sample.dims, sums.values - theta),
-        meta={"n_units": sample.n_units},
-    )
+    scores = CenteredScores(sample.dims, sums.values - theta)
+    return Fitted("mean", theta, scores, None, weighted_mean, sums, {"n_units": sample.n_units})
 
 
 def weighted_mean(sums: CellSums, weights: PigeonholeWeights) -> np.ndarray:
@@ -147,28 +131,21 @@ def ratio_cell_sums(sample: ClusteredSample, stat: CellStatistic | None = None) 
     return CellSums(sample.dims, np.hstack((fsums.values, nsums.values)))
 
 
-def ratio_estimate(sample: ClusteredSample, stat: CellStatistic | None = None) -> EstimateResult:
+def ratio_estimate(sample: ClusteredSample, stat: CellStatistic | None = None) -> Fitted:
     """Per-unit mean with its linearized cell scores.
 
     theta is the ratio of pooled sums to the total unit count; the scores
     are T_j = (S_j - N_j theta) / (mean cell size), the linearization whose
     variance is estimated exactly like the plain mean's.
     """
-    return _ratio_from_sums(sample, ratio_cell_sums(sample, stat))
-
-
-def _ratio_from_sums(sample: ClusteredSample, sums: CellSums) -> EstimateResult:
+    sums = ratio_cell_sums(sample, stat)
     s, n = sums.values[:, :-1], sums.values[:, -1:]
     total = float(n.sum())
     if total <= 0:
         raise EmptySampleError("ratio estimate needs at least one unit")
     theta = s.sum(axis=0) / total
-    scores = (s - n * theta) / (total / sample.dims.pi_c)
-    return EstimateResult(
-        theta=theta,
-        scores=CenteredScores(sample.dims, scores),
-        meta={"n_units": int(total)},
-    )
+    scores = CenteredScores(sample.dims, (s - n * theta) / (total / sample.dims.pi_c))
+    return Fitted("ratio", theta, scores, None, weighted_ratio, sums, {"n_units": int(total)})
 
 
 def weighted_ratio(sums_with_counts: CellSums, weights: PigeonholeWeights) -> np.ndarray:
@@ -225,7 +202,7 @@ def _solve_gram(gram: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     return np.linalg.solve(gram, rhs)
 
 
-def ols_fit(sample: ClusteredSample, spec: LinearModelSpec) -> EstimateResult:
+def ols_fit(sample: ClusteredSample, spec: LinearModelSpec) -> Fitted:
     """Pooled least squares over all units.
 
     The scores are the per-cell sums of X u-hat (uncentered; they sum to
@@ -240,11 +217,16 @@ def ols_fit(sample: ClusteredSample, spec: LinearModelSpec) -> EstimateResult:
     resid = y - X @ theta
     scores = sum_by_cell(sample, X * resid[:, None])
     evals = np.linalg.eigvalsh(gram)
-    return EstimateResult(
-        theta=theta,
-        scores=CenteredScores(sample.dims, scores),
-        meta={
-            "jhat": gram / sample.dims.pi_c,
+    jhat = gram / sample.dims.pi_c
+    return Fitted(
+        "ols",
+        theta,
+        CenteredScores(sample.dims, scores),
+        partial(_ols_bread, jhat),
+        weighted_ols,
+        ols_cell_data(sample, spec),
+        {
+            "jhat": jhat,
             "residual_norm": float(np.linalg.norm(resid)),
             "gram_condition": float(evals[-1] / evals[0]),
             "n_units": sample.n_units,
@@ -259,20 +241,15 @@ def _ols_bread(jhat: np.ndarray, meat: np.ndarray) -> np.ndarray:
     return 0.5 * (v + v.T)
 
 
-def ols_sandwich(
-    result: EstimateResult, kind: str = "v1", adjustment: str = "unit"
-) -> VarianceEstimate:
+def ols_sandwich(result: Fitted, kind: str = "v1", adjustment: str = "unit") -> VarianceEstimate:
     """V = J^-1 H J^-1 with H the multiway meat built from the OLS scores.
 
     ``kind`` selects the meat estimator: "v1" (the default, positive by
     construction), "v2" or "cgm" for experiments.
     """
-    jhat = result.meta.get("jhat")
-    if jhat is None or result.scores is None:
+    if result.kind != "ols":
         raise ValueError("result does not come from ols_fit")
-    bread = partial(_ols_bread, jhat)
-    fitted = Fitted("ols", result.theta, result.scores, bread, None, None, result.meta)
-    return fitted.variance(kind, adjustment)
+    return result.variance(kind, adjustment)
 
 
 @dataclass(frozen=True)
@@ -375,7 +352,7 @@ def quantile_data(sample: ClusteredSample, spec: EcdfSpec, tau: float) -> Quanti
     )
 
 
-def quantile_estimate(sample: ClusteredSample, spec: EcdfSpec, tau: float) -> EstimateResult:
+def quantile_estimate(sample: ClusteredSample, spec: EcdfSpec, tau: float) -> Fitted:
     """Left generalized inverse of the ECDF over the observed support.
 
     theta is the smallest observed value y with F(y) >= tau. No analytic
@@ -385,11 +362,9 @@ def quantile_estimate(sample: ClusteredSample, spec: EcdfSpec, tau: float) -> Es
     data = quantile_data(sample, spec, tau)
     n = data.sorted_values.shape[0]
     k = max(int(np.ceil(n * tau - 1e-9)) - 1, 0)
-    return EstimateResult(
-        theta=np.array([data.sorted_values[k]]),
-        scores=None,
-        meta={"tau": tau, "n_units": n},
-    )
+    theta = np.array([data.sorted_values[k]])
+    meta = {"tau": tau, "n_units": n}
+    return Fitted("quantile", theta, None, None, weighted_quantile, data, meta)
 
 
 def weighted_quantile(data: QuantileData, weights: PigeonholeWeights) -> np.ndarray:
@@ -430,24 +405,16 @@ def fit(
     :func:`multiway.gmm.gmm_fit`.
     """
     if kind == "mean":
-        sums = cell_sums(sample, identity_statistic(sample.obs_dim))
-        res = _mean_from_sums(sample, sums)
-        return Fitted(kind, res.theta, res.scores, None, weighted_mean, sums, res.meta)
+        return mean_estimate(sample)
     if kind == "ratio":
-        sums = ratio_cell_sums(sample)
-        res = _ratio_from_sums(sample, sums)
-        return Fitted(kind, res.theta, res.scores, None, weighted_ratio, sums, res.meta)
+        return ratio_estimate(sample)
     if kind == "ols":
         res = ols_fit(sample, spec)
-        bread = partial(_ols_bread, res.meta["jhat"])
         # meta goes into the estimate diagnostics JSON: no jhat, and this key order
-        meta = {key: res.meta[key] for key in ("n_units", "residual_norm", "gram_condition")}
-        data = ols_cell_data(sample, spec)
-        return Fitted(kind, res.theta, res.scores, bread, weighted_ols, data, meta)
+        keys = ("n_units", "residual_norm", "gram_condition")
+        return replace(res, meta={key: res.meta[key] for key in keys})
     if kind == "quantile":
-        res = quantile_estimate(sample, spec, tau)
-        data = quantile_data(sample, spec, tau)
-        return Fitted(kind, res.theta, None, None, weighted_quantile, data, res.meta)
+        return quantile_estimate(sample, spec, tau)
     if kind == "gmm":
         res = gmm_fit(sample, model, config=config, two_step=two_step)
         scores = cell_moment_sums(sample, model, res.theta)

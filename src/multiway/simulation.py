@@ -199,6 +199,18 @@ def generate(dgp: DgpSpec, dims: Dimensions, seed: int) -> tuple[ClusteredSample
     return sample, np.asarray(dgp.beta, dtype=np.float64)
 
 
+def _expit_moment(s: float, power: int) -> float:
+    """E[expit(A) A^power] for A ~ N(0, s^2), by quadrature. The factor a**0
+    is 1.0 and a**1 is a, so power 0 and 1 integrate the plain products."""
+    from scipy import integrate  # deferred: slow to import, needed only here
+
+    def phi(a):
+        return math.exp(-0.5 * (a / s) ** 2) / (s * math.sqrt(2 * math.pi))
+
+    value, _ = integrate.quad(lambda a: special.expit(a) * a**power * phi(a), -np.inf, np.inf)
+    return value
+
+
 def _per_unit_mean(dgp: DgpSpec) -> float:
     """E(sum_l Y_l) / E(N) for the additive variants.
 
@@ -211,15 +223,7 @@ def _per_unit_mean(dgp: DgpSpec) -> float:
     s = dgp.sigma_factors[0]
     if s == 0 or law.mu == 0:
         return 0.0
-
-    from scipy import integrate  # deferred: slow to import, needed only here
-
-    def phi(a):
-        return math.exp(-0.5 * (a / s) ** 2) / (s * math.sqrt(2 * math.pi))
-
-    i0, _ = integrate.quad(lambda a: special.expit(a) * phi(a), -np.inf, np.inf)
-    i1, _ = integrate.quad(lambda a: special.expit(a) * a * phi(a), -np.inf, np.inf)
-    return law.mu * i1 / (1.0 + law.mu * i0)
+    return law.mu * _expit_moment(s, 1) / (1.0 + law.mu * _expit_moment(s, 0))
 
 
 def _mean_cell_size(dgp: DgpSpec) -> float:
@@ -231,14 +235,7 @@ def _mean_cell_size(dgp: DgpSpec) -> float:
     s = dgp.sigma_factors[0]
     if s == 0:
         return 1.0 + law.mu * 0.5
-
-    from scipy import integrate  # deferred: slow to import, needed only here
-
-    def phi(a):
-        return math.exp(-0.5 * (a / s) ** 2) / (s * math.sqrt(2 * math.pi))
-
-    i0, _ = integrate.quad(lambda a: special.expit(a) * phi(a), -np.inf, np.inf)
-    return 1.0 + law.mu * i0
+    return 1.0 + law.mu * _expit_moment(s, 0)
 
 
 def true_theta(dgp: DgpSpec, estimator: str) -> np.ndarray:

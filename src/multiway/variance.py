@@ -19,7 +19,7 @@ from typing import Callable, Sequence
 import numpy as np
 from scipy import special
 
-from .data import CellSums, Dimensions, subset_margin_sum
+from .data import CellSums, Dimensions, pair_counts, subset_margin_sum
 from .errors import ConfigError, DegenerateDesignError, SingularVarianceError
 
 __all__ = [
@@ -114,9 +114,11 @@ def vhat2(scores: CenteredScores) -> VarianceEstimate:
     """Average of score cross products over pairs sharing exactly one cluster.
 
     Dimension i contributes (c_min / C_i) times the average of D_j D_j''
-    over A_i = {(j, j'): j_i = j'_i, j_s != j'_s for all s != i}. The A_i
-    sum is assembled by inclusion-exclusion over the subsets containing i
-    instead of pair enumeration. Not necessarily positive semidefinite.
+    over A_i = {(j, j'): j_i = j'_i, j_s != j'_s for all s != i}. Each A_i
+    sum is the inclusion-exclusion over the subsets containing i, so the
+    estimator is one coefficient row: subset T gets
+    (-1)^(|T|-1) * sum over i in T of lambda_i / |A_i|, and each pair sum
+    is computed once. Not necessarily positive semidefinite.
     """
     dims = scores.dims
     if dims.k >= 2:
@@ -127,15 +129,13 @@ def vhat2(scores: CenteredScores) -> VarianceEstimate:
                     "no pairs share exactly one cluster"
                 )
     lambda_hats = dims.lambda_hats()
-    out = np.zeros((scores.out_dim, scores.out_dim))
-    for i in range(dims.k):
-        n_pairs = dims.counts[i] * math.prod(
-            c * (c - 1) for s, c in enumerate(dims.counts) if s != i
-        )
-        acc = _combine(scores, lambda axes: (-1.0) ** (len(axes) - 1) if i in axes else 0.0)
-        out += lambda_hats[i] / n_pairs * acc
+    per_pair = [lambda_hats[i] / pair_counts(dims, i)[0] for i in range(dims.k)]
+
+    def coef(axes):
+        return (-1.0) ** (len(axes) - 1) * sum(per_pair[i] for i in axes)
+
     return VarianceEstimate(
-        matrix=out,
+        matrix=_combine(scores, coef),
         kind="v2",
         lambda_hats=lambda_hats,
         adjustments={"per_dimension": [1.0] * dims.k},

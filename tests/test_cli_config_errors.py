@@ -1,0 +1,80 @@
+"""Malformed config documents and settings exit 2 with a message naming the field."""
+
+import pytest
+
+from multiway.cli import main
+from multiway.dataio import write_json
+
+MC_BASE = {
+    "dgp": {"variant": "additive"},
+    "dims": [4, 4],
+    "replications": 2,
+    "methods": ["wald-v1"],
+    "estimator": "ratio",
+}
+PROBIT = {"family": "probit", "outcome_index": 0, "x_index": 1}
+
+
+def mc_case(**changes):
+    doc = {**MC_BASE, **changes}
+    return "mc", {key: value for key, value in doc.items() if value is not None}
+
+
+def dgp_case(**changes):
+    return mc_case(dgp={**MC_BASE["dgp"], **changes})
+
+
+# case -> (command, config document, environment, the field stderr must name)
+CASES = {
+    "model config array": ("gmm", [PROBIT], {}, "model config"),
+    "optimizer not an object": ("gmm", {**PROBIT, "optimizer": [1]}, {}, "optimizer"),
+    "optimizer field type": (
+        "gmm", {**PROBIT, "optimizer": {"n_starts": "5"}}, {}, "optimizer.n_starts"
+    ),
+    "mc config array": ("mc", [MC_BASE], {}, "config"),
+    "dgp not an object": (*mc_case(dgp=["additive"]), {}, "dgp"),
+    "unknown cell_sizes key": (
+        *dgp_case(cell_sizes={"kind": "fixed", "size": 3}), {}, "dgp.cell_sizes"
+    ),
+    "cell_sizes not an object": (*dgp_case(cell_sizes=[1]), {}, "dgp.cell_sizes"),
+    "sigma_factors number": (*dgp_case(sigma_factors=1.0), {}, "dgp.sigma_factors"),
+    "dims number": (*mc_case(dims=4), {}, "dims"),
+    "replications string": (*mc_case(replications="2"), {}, "replications"),
+    "replications boolean": (*mc_case(replications=True), {}, "replications"),
+    "methods string": (*mc_case(methods="wald-v1"), {}, "methods: expected a JSON array"),
+    "alpha string": (*mc_case(alpha="0.05"), {}, "alpha"),
+    "bootstrap_b string": (
+        *mc_case(methods=["boot-symabs"], bootstrap_b="40"), {}, "bootstrap_b"
+    ),
+    "seed string": (*mc_case(seed="7"), {}, "seed"),
+    "workers environment": ("mc", MC_BASE, {"MULTIWAY_WORKERS": "abc"}, "MULTIWAY_WORKERS"),
+}
+
+
+@pytest.fixture(scope="module")
+def probit_csv(tmp_path_factory):
+    out = tmp_path_factory.mktemp("data") / "p.csv"
+    argv = ["simulate", "--dgp", "probit", "--dims", "4,4", "--seed", "1", "-o", str(out)]
+    assert main(argv) == 0
+    return out
+
+
+@pytest.mark.parametrize("case", list(CASES))
+def test_malformed_config_exits_2_naming_the_field(
+    case, probit_csv, tmp_path, monkeypatch, capsys
+):
+    command, doc, env, field = CASES[case]
+    for name, value in env.items():
+        monkeypatch.setenv(name, value)
+    config = tmp_path / "config.json"
+    write_json(config, doc)
+    if command == "mc":
+        argv = ["mc", "--config", config, "--out", tmp_path / "r"]
+    else:
+        argv = ["estimate", "--input", probit_csv, "--dims", "4,4", "--estimator", "gmm",
+                "--model-config", config, "--out", tmp_path / "e.json"]
+    capsys.readouterr()
+    assert main([str(a) for a in argv]) == 2
+    message = capsys.readouterr().err.splitlines()[-1]
+    assert message.startswith("error: ")
+    assert field in message
