@@ -17,15 +17,17 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .errors import ShapeError
+from .errors import ConfigError, ShapeError
 
 __all__ = [
+    "MAX_CELLS",
     "CellStatistic",
     "CellSums",
     "ClusteredSample",
     "Dimensions",
     "cell_subsample",
     "cell_sums",
+    "check_dense_lattice",
     "count_statistic",
     "identity_statistic",
     "load_sample",
@@ -37,6 +39,11 @@ __all__ = [
 ]
 
 
+# Largest lattice the dense layout accepts: every per-cell array (offsets,
+# cell sums, scores) has pi_c rows, 2 GiB per float64 column at this size.
+MAX_CELLS = 2**28
+
+
 @dataclass(frozen=True)
 class Dimensions:
     """Cluster counts ``C = (C_1, ..., C_k)`` of a k-way layout."""
@@ -46,9 +53,9 @@ class Dimensions:
     def __post_init__(self):
         counts = tuple(int(c) for c in self.counts)
         if len(counts) < 1:
-            raise ValueError("need at least one clustering dimension")
+            raise ConfigError("dims: need at least one clustering dimension")
         if any(c < 1 for c in counts):
-            raise ValueError(f"every dimension needs >= 1 cluster, got {counts}")
+            raise ConfigError(f"dims: every dimension needs >= 1 cluster, got {counts}")
         object.__setattr__(self, "counts", counts)
 
     @property
@@ -212,10 +219,23 @@ def load_sample(
     return sample_from_cell_ids(dims, flat_ids, values)
 
 
+def check_dense_lattice(dims: Dimensions) -> None:
+    """Refuse, before anything of length pi_c is allocated, a lattice with
+    more than :data:`MAX_CELLS` cells."""
+    if dims.pi_c > MAX_CELLS:
+        need = 8 * dims.pi_c
+        raise ConfigError(
+            f"dims {','.join(map(str, dims.counts))}: pi_c = {dims.pi_c} cells exceeds "
+            f"the dense-lattice limit of {MAX_CELLS}; each per-cell float64 array "
+            f"would need {need} bytes ({need / 2**30:.2f} GiB)"
+        )
+
+
 def sample_from_cell_ids(
     dims: Dimensions, flat_ids: np.ndarray, values: np.ndarray
 ) -> ClusteredSample:
     """Group unit rows by flat cell id, keeping input order within each cell."""
+    check_dense_lattice(dims)
     order = np.argsort(flat_ids, kind="stable")
     sizes = np.bincount(flat_ids, minlength=dims.pi_c)
     offsets = np.concatenate(([0], np.cumsum(sizes)))

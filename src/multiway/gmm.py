@@ -255,8 +255,19 @@ def _sqrt_weight(xi: WeightMatrix) -> np.ndarray:
 def _gauss_newton(residual, jac_residual, start, bounds, tol, budget):
     """Projected Gauss-Newton with halving backtracking.
 
-    ``residual(theta)`` is Xi^(1/2) m_bar; the objective is half its
+    ``residual(theta)`` is Xi^(1/2) m_bar; the objective f is half its
     squared norm. Returns (theta, value, converged).
+
+    A candidate is accepted only if fc < f - 1e-12 (1 + f). Once
+    f - 1e-12 (1 + f) <= 0 (f below about 1e-12) no candidate can pass,
+    since fc >= 0 (and a NaN fc fails the comparison), so the point is
+    returned as stationary at the top of the iteration, before the
+    Jacobian and the line search. The line search would have rejected
+    every halving and returned the same theta and value, so both keep
+    their bits; only the evaluation count falls. The one outcome that
+    changes: where the budget would have run out inside that futile
+    search (or the skipped Gauss-Newton step would have been singular),
+    the point is now reported as converged instead of not.
     """
     theta = np.clip(start, bounds[:, 0], bounds[:, 1])
     if not budget.spend():
@@ -264,6 +275,8 @@ def _gauss_newton(residual, jac_residual, start, bounds, tol, budget):
     r = residual(theta)
     f = 0.5 * float(r @ r)
     for _ in range(200):
+        if f - 1e-12 * (1 + f) <= 0:
+            return theta, math.sqrt(2 * f), True
         jr = jac_residual(theta)
         jtj = jr.T @ jr
         ridge = 1e-12 * max(np.trace(jtj) / max(len(theta), 1), 1e-300)
@@ -459,6 +472,12 @@ def gmm_bootstrap_estimator(
     by comparing piecewise-constant objective levels, change only if two
     levels tie to within that bit. When no unit has a nonzero weight the
     full sample is used, and for identity weights the sample itself.
+
+    Cost: from the warm start a probit replicate takes about four moment
+    evaluations and three Jacobians (30x30: 3.9 and 3.0 per replicate),
+    because Gauss-Newton returns once the objective reaches its floor,
+    with no last Jacobian or line search, and each Jacobian at an accepted
+    step reuses the link values of the moment evaluation just before it.
     """
     xi = xi or WeightMatrix.identity(model.n_moments)
     config = config or OptimizerConfig()
@@ -527,11 +546,25 @@ def probit_score_moments(
     lam = (2Y - 1) phi(q) / Phi(q) at q = (2Y - 1)(b0 + b1 X); minimizing
     the moment norm is the probit pseudo-MLE, which ignores within- and
     cross-cell correlation (the multiway sandwich puts it back).
+
+    The last (x, eta, lam) is kept, keyed on the ``values`` array itself
+    and the dtype and bytes of theta, so the Jacobian at a point whose
+    moments were just evaluated (every accepted Gauss-Newton step) reuses
+    the ``log_ndtr`` work. The entry is one tuple, read once and replaced
+    whole, so threads sharing the model never see a torn entry; ``values``
+    must not be modified in place between calls.
     """
     if bounds is None:
         bounds = np.tile([-5.0, 5.0], (2, 1))
+    last = None
 
     def parts(values, theta):
+        nonlocal last
+        theta = np.asarray(theta)
+        key = (theta.dtype, theta.tobytes())
+        hit = last
+        if hit is not None and hit[0] is values and hit[1] == key:
+            return hit[2]
         y = values[:, outcome_index]
         if not np.all((y == 0) | (y == 1)):
             raise ModelError("probit outcome must be binary in {0, 1}")
@@ -539,6 +572,7 @@ def probit_score_moments(
         sign = 2.0 * y - 1.0
         eta = theta[0] + theta[1] * x
         lam = sign * _probit_lam(sign * eta)
+        last = (values, key, (x, eta, lam))
         return x, eta, lam
 
     def fn(values, theta):

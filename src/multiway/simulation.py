@@ -18,7 +18,7 @@ import numpy as np
 from scipy import special
 
 from .bootstrap import percentile_ci, run_bootstrap, symmetric_abs_ci
-from .data import ClusteredSample, Dimensions
+from .data import ClusteredSample, Dimensions, check_dense_lattice
 from .errors import ConfigError, MultiwayError, UnsupportedError
 from .estimators import EcdfSpec, fit
 from .gmm import probit_score_moments
@@ -157,6 +157,7 @@ def generate(dgp: DgpSpec, dims: Dimensions, seed: int) -> tuple[ClusteredSample
     The draw order (per-dimension factors, cell shocks, cell sizes, unit
     shocks) is fixed, so a seed fully determines the sample.
     """
+    check_dense_lattice(dims)
     _check_dims(dgp, dims)
     rng = np.random.default_rng(int(seed))
 

@@ -1,0 +1,82 @@
+"""Lattices too large for the dense per-cell layout are refused up front."""
+
+import json
+import tracemalloc
+
+import pytest
+
+from multiway import Dimensions
+from multiway.cli import main
+from multiway.data import MAX_CELLS, check_dense_lattice
+from multiway.errors import ConfigError
+
+BIG = "1000,1000,1000"
+MESSAGE = (
+    "error: dims 1000,1000,1000: pi_c = 1000000000 cells exceeds the dense-lattice "
+    "limit of 268435456; each per-cell float64 array would need 8000000000 bytes "
+    "(7.45 GiB)"
+)
+
+
+def _run_traced(argv, capsys):
+    """Exit code, stderr and the peak traced allocation of one CLI call."""
+    tracemalloc.start()
+    try:
+        code = main([str(a) for a in argv])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return code, capsys.readouterr().err, peak
+
+
+def test_estimate_refuses_big_lattice_csv(tmp_path, capsys):
+    data = tmp_path / "three.csv"
+    data.write_text("dim1,dim2,dim3,y1\n1,1,1,0.5\n2,3,4,1.5\n1000,1000,1000,2.0\n")
+    out = tmp_path / "est.json"
+    code, err, peak = _run_traced(
+        ["estimate", "--input", data, "--dims", BIG, "--out", out], capsys
+    )
+    assert code == 2
+    assert MESSAGE in err
+    assert peak < 16 * 2**20
+    assert not out.exists()
+
+
+def test_estimate_refuses_big_lattice_json(tmp_path, capsys):
+    data = tmp_path / "three.json"
+    doc = {"dims": [1000, 1000, 1000],
+           "units": [{"cell": [1, 1, 1], "y": [0.5]}, {"cell": [9, 9, 9], "y": [1.0]}]}
+    data.write_text(json.dumps(doc))
+    code, err, peak = _run_traced(
+        ["estimate", "--input", data, "--out", tmp_path / "est.json"], capsys
+    )
+    assert code == 2
+    assert MESSAGE in err
+    assert peak < 16 * 2**20
+
+
+@pytest.mark.parametrize("dgp", ["additive", "additive3"])
+def test_simulate_refuses_big_lattice(tmp_path, capsys, dgp):
+    out = tmp_path / "sim.csv"
+    code, err, peak = _run_traced(
+        ["simulate", "--dgp", dgp, "--dims", BIG, "--seed", 1, "--out", out], capsys
+    )
+    assert code == 2
+    assert MESSAGE in err
+    assert peak < 16 * 2**20
+    assert not out.exists()
+
+
+def test_limit_is_inclusive():
+    check_dense_lattice(Dimensions((MAX_CELLS,)))
+    check_dense_lattice(Dimensions((2**14, 2**14)))
+    with pytest.raises(ConfigError, match="dims 268435457: pi_c = 268435457"):
+        check_dense_lattice(Dimensions((MAX_CELLS + 1,)))
+
+
+@pytest.mark.parametrize("counts", [(), (3, 0), (-1,)])
+def test_bad_dims_are_config_errors(counts):
+    with pytest.raises(ConfigError, match="dims: "):
+        Dimensions(counts)
+    with pytest.raises(ValueError):
+        Dimensions(counts)
