@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import reduce
 from typing import Callable
@@ -129,8 +128,10 @@ def run_bootstrap(
     ``estimator(sample, weights)`` must return the parameter vector for the
     given :class:`PigeonholeWeights`; with identity weights it must
     reproduce the unweighted estimate, which is stored as ``theta_hat``.
-    Replicate b draws its weights from the stream (seed, b), so results are
-    identical for any ``n_workers``. Replicates that raise a
+    Replicate b draws its weights from the stream (seed, b), and the
+    replicates run one after another on the calling thread, so the
+    estimator need not be thread-safe. ``n_workers`` is accepted for
+    compatibility and changes nothing. Replicates that raise a
     :class:`MultiwayError`, ``LinAlgError``, ``FloatingPointError`` or
     ``RuntimeError``, or return non-finite values, are dropped and counted;
     more than 1% failures emits a warning. Any other exception propagates.
@@ -141,33 +142,30 @@ def run_bootstrap(
     theta_hat = np.atleast_1d(
         np.asarray(estimator(sample, PigeonholeWeights.identity(dims)), dtype=np.float64)
     )
-
-    def one(idx: int):
+    indices, thetas = [], []
+    for idx in range(b):
         w = draw_weights(dims, stream_rng(seed, idx))
         try:
             theta = np.atleast_1d(np.asarray(estimator(sample, w), dtype=np.float64))
         except _REPLICATE_FAILURES:
-            return None
-        return theta if np.all(np.isfinite(theta)) else None
+            continue
+        if np.all(np.isfinite(theta)):
+            indices.append(idx)
+            thetas.append(theta)
 
-    if n_workers > 1:
-        with ThreadPoolExecutor(max_workers=n_workers) as pool:
-            rows = list(pool.map(one, range(b)))
-    else:
-        rows = [one(idx) for idx in range(b)]
-
-    kept = [(idx, t) for idx, t in enumerate(rows) if t is not None]
-    n_failed = b - len(kept)
+    n_failed = b - len(indices)
     if n_failed > 0.01 * b:
         warnings.warn(
             f"{n_failed}/{b} bootstrap replicates failed", RuntimeWarning, stacklevel=2
         )
-    if not kept:
+    if not indices:
         raise InsufficientReplicatesError("every bootstrap replicate failed")
-    indices = np.array([idx for idx, _ in kept], dtype=np.int64)
-    thetas = np.vstack([t for _, t in kept])
     return BootstrapReplicates(
-        thetas=thetas, indices=indices, theta_hat=theta_hat, n_requested=b, seed=seed
+        thetas=np.vstack(thetas),
+        indices=np.array(indices, dtype=np.int64),
+        theta_hat=theta_hat,
+        n_requested=b,
+        seed=seed,
     )
 
 

@@ -26,12 +26,9 @@ from .errors import (
     ConvergenceError,
     DegenerateDesignError,
     InsufficientReplicatesError,
-    ModelError,
     MultiwayError,
-    ParseError,
     SingularDesignError,
     SingularVarianceError,
-    UnsupportedError,
 )
 from .estimators import EcdfSpec, Fitted, LinearModelSpec, fit
 from .gmm import OptimizerConfig, probit_score_moments, quantile_iv_moments
@@ -298,9 +295,7 @@ def cmd_bootstrap(args) -> int:
     seed = _effective_seed(args.seed)
     args.seed = seed  # the GMM warm-start fit shares the printed seed
     fitted = _fit(args, sample)
-    reps = run_bootstrap(
-        fitted.hook, fitted.prepared, args.b, seed, n_workers=_workers(args)
-    )
+    reps = run_bootstrap(fitted.hook, fitted.prepared, args.b, seed)
     out = Path(args.out)
     rep_path = out.parent / (out.name + ".replicates.csv")
     with open(rep_path, "w", encoding="utf-8", newline="") as fh:
@@ -450,13 +445,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--b", type=int, required=True, help="bootstrap replicates")
     p.add_argument("--alpha", type=float, default=0.05)
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--workers", type=int, default=None)
+    p.add_argument("--workers", type=int, default=None, help="ignored; replicates run serially")
     p.add_argument("--out", "-o", required=True, help="output base path")
     p.set_defaults(func=cmd_bootstrap)
 
     p = sub.add_parser("mc", help="Monte Carlo coverage experiment")
     p.add_argument("--config", required=True, help="experiment config JSON")
-    p.add_argument("--workers", type=int, default=None)
+    p.add_argument(
+        "--workers", type=int, default=None, help=f"processes (default ${WORKERS_ENV} or 1)"
+    )
     p.add_argument("--out", "-o", required=True, help="output base path")
     p.set_defaults(func=cmd_mc)
 
@@ -476,16 +473,7 @@ def main(argv=None) -> int:
     except ConvergenceError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONVERGENCE
-    except (
-        ParseError,
-        ConfigError,
-        InsufficientReplicatesError,
-        UnsupportedError,
-        ModelError,
-        MultiwayError,
-        ValueError,
-        OSError,
-    ) as exc:
+    except (MultiwayError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

@@ -12,7 +12,7 @@ dispatch over all estimators, GMM included.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from functools import partial
+from functools import cached_property, partial
 from typing import Callable
 
 import numpy as np
@@ -24,7 +24,6 @@ from .data import (
     ClusteredSample,
     Dimensions,
     cell_sums,
-    count_statistic,
     identity_statistic,
     sum_by_cell,
 )
@@ -127,8 +126,8 @@ def ratio_cell_sums(sample: ClusteredSample, stat: CellStatistic | None = None) 
     """Cell sums of f stacked with the cell sizes; last column is N_j."""
     stat = stat or identity_statistic(sample.obs_dim)
     fsums = cell_sums(sample, stat)
-    nsums = cell_sums(sample, count_statistic())
-    return CellSums(sample.dims, np.hstack((fsums.values, nsums.values)))
+    sizes = sample.cell_sizes.astype(np.float64)[:, None]
+    return CellSums(sample.dims, np.hstack((fsums.values, sizes)))
 
 
 def ratio_estimate(sample: ClusteredSample, stat: CellStatistic | None = None) -> Fitted:
@@ -224,7 +223,7 @@ def ols_fit(sample: ClusteredSample, spec: LinearModelSpec) -> Fitted:
         CenteredScores(sample.dims, scores),
         partial(_ols_bread, jhat),
         weighted_ols,
-        ols_cell_data(sample, spec),
+        OlsCellData(sample, X, y),
         {
             "jhat": jhat,
             "residual_norm": float(np.linalg.norm(resid)),
@@ -254,18 +253,30 @@ def ols_sandwich(result: Fitted, kind: str = "v1", adjustment: str = "unit") -> 
 
 @dataclass(frozen=True)
 class OlsCellData:
-    """Per-cell Gram blocks for weighted OLS re-estimation."""
+    """The design (X, y) of one OLS fit and, built on first read, the
+    per-cell Gram blocks for weighted OLS re-estimation."""
 
-    dims: Dimensions
-    xtx: np.ndarray  # (pi_c, p, p)
-    xty: np.ndarray  # (pi_c, p)
+    sample: ClusteredSample
+    X: np.ndarray
+    y: np.ndarray
+
+    @property
+    def dims(self) -> Dimensions:
+        return self.sample.dims
+
+    @cached_property
+    def xtx(self) -> np.ndarray:
+        """sum over the units of cell j of X X', shape (pi_c, p, p)."""
+        return sum_by_cell(self.sample, self.X[:, :, None] * self.X[:, None, :])
+
+    @cached_property
+    def xty(self) -> np.ndarray:
+        """sum over the units of cell j of X y, shape (pi_c, p)."""
+        return sum_by_cell(self.sample, self.X * self.y[:, None])
 
 
 def ols_cell_data(sample: ClusteredSample, spec: LinearModelSpec) -> OlsCellData:
-    X, y = spec.design(sample.values)
-    xtx = sum_by_cell(sample, X[:, :, None] * X[:, None, :])
-    xty = sum_by_cell(sample, X * y[:, None])
-    return OlsCellData(sample.dims, xtx, xty)
+    return OlsCellData(sample, *spec.design(sample.values))
 
 
 def weighted_ols(data: OlsCellData, weights: PigeonholeWeights) -> np.ndarray:
