@@ -86,13 +86,16 @@ def _effective_seed(seed: int | None) -> int:
 
 
 def _workers(args) -> int:
-    if getattr(args, "workers", None) is not None:
-        return max(1, args.workers)
-    raw = os.environ.get(WORKERS_ENV, "1")
+    source, raw = "--workers", getattr(args, "workers", None)
+    if raw is None:
+        source, raw = WORKERS_ENV, os.environ.get(WORKERS_ENV, "1")
     try:
-        return max(1, int(raw))
+        workers = int(raw)
     except ValueError:
-        raise ConfigError(f"{WORKERS_ENV}: expected an integer, got {raw!r}") from None
+        raise ConfigError(f"{source}: expected an integer, got {raw!r}") from None
+    if workers < 1:
+        raise ConfigError(f"{source}: need at least 1 worker process, got {workers}")
+    return workers
 
 
 _JSON_KINDS = {int: "an integer", float: "a number", list: "a JSON array", dict: "a JSON object"}

@@ -432,7 +432,9 @@ def fit(
         bread = (
             _no_jacobian if res.jhat is None else partial(gmm_variance, res.jhat, xi=res.weight)
         )
-        hook = gmm_bootstrap_estimator(model, config=config, warm_start=res.theta)
+        hook = gmm_bootstrap_estimator(
+            model, xi=res.weight, config=config, warm_start=res.theta
+        )
         meta = {
             "objective_value": res.objective_value,
             "n_evaluations": res.trace["n_evaluations"],

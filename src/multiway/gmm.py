@@ -7,6 +7,10 @@ averaged over all pi_c cells. The sandwich variance is
 positive multiway variance estimator, applied to the per-cell moment
 sums. Includes ready-made moment models for quantile IV and the probit
 pseudo-score.
+
+scipy is imported where it is called: ``scipy.special`` by the probit
+link and ``scipy.optimize`` by Nelder-Mead, so importing this module
+loads numpy only.
 """
 
 from __future__ import annotations
@@ -16,7 +20,6 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-from scipy import special
 
 from .bootstrap import PigeonholeWeights
 from .data import ClusteredSample, cell_subsample, sum_by_cell
@@ -533,6 +536,8 @@ def quantile_iv_moments(
 
 
 def _probit_lam(q: np.ndarray) -> np.ndarray:
+    from scipy import special  # deferred: slow to import, needed only here
+
     # phi(q)/Phi(q) evaluated in the log domain; stable for large |q|
     log_phi = -0.5 * q**2 - 0.5 * math.log(2 * math.pi)
     return np.exp(log_phi - special.log_ndtr(q))

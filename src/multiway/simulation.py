@@ -5,17 +5,20 @@ cell- and unit-level noise, so separate exchangeability and the
 independence of cells sharing no cluster hold by construction. The
 harness repeatedly generates data, forms the requested confidence
 regions, and reports empirical coverage against the known truth.
+
+scipy (``special`` for linked cell sizes, ``integrate`` for their true
+value) and the process pool of ``run_coverage`` are imported on first
+use, so importing this module and simulating unlinked sizes load numpy
+only.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field
 from typing import Sequence
 
 import numpy as np
-from scipy import special
 
 from .bootstrap import percentile_ci, run_bootstrap, symmetric_abs_ci
 from .data import ClusteredSample, Dimensions, check_dense_lattice
@@ -134,6 +137,8 @@ def _draw_sizes(dgp: DgpSpec, dims: Dimensions, factor0: np.ndarray, rng) -> np.
     if law.kind == "fixed":
         return np.full(dims.pi_c, law.n, dtype=np.int64)
     if law.factor_linked:
+        from scipy import special  # deferred: slow to import, needed only here
+
         shape = [1] * dims.k
         shape[0] = dims.counts[0]
         lam = law.mu * special.expit(
@@ -203,7 +208,7 @@ def generate(dgp: DgpSpec, dims: Dimensions, seed: int) -> tuple[ClusteredSample
 def _expit_moment(s: float, power: int) -> float:
     """E[expit(A) A^power] for A ~ N(0, s^2), by quadrature. The factor a**0
     is 1.0 and a**1 is a, so power 0 and 1 integrate the plain products."""
-    from scipy import integrate  # deferred: slow to import, needed only here
+    from scipy import integrate, special  # deferred: slow to import, needed only here
 
     def phi(a):
         return math.exp(-0.5 * (a / s) ** 2) / (s * math.sqrt(2 * math.pi))
@@ -458,6 +463,8 @@ def run_coverage(config: McConfig, progress=None) -> McReport:
     """
     r_total = config.replications
     if config.n_workers > 1:
+        from concurrent.futures import ProcessPoolExecutor  # deferred: imports multiprocessing
+
         with ProcessPoolExecutor(max_workers=config.n_workers) as pool:
             chunk = max(1, r_total // (config.n_workers * 8))
             results = []

@@ -7,6 +7,9 @@ variance sum_i lambda_i Cov(S_1, S_2_i) with plug-in weights
 lambda_i = c_min / C_i. Pair sums over cells sharing clusters are never
 enumerated; they are collapsed to margin sums, so everything is
 O(pi_c * m) per dimension subset.
+
+``wald_region`` imports ``scipy.special`` for its quantiles when first
+called, so importing this module loads numpy only.
 """
 
 from __future__ import annotations
@@ -17,7 +20,6 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy import special
 
 from .data import CellSums, Dimensions, pair_counts, subset_margin_sum
 from .errors import ConfigError, DegenerateDesignError, SingularVarianceError
@@ -264,6 +266,8 @@ def wald_region(
     if matrix.shape != (m, m):
         raise ValueError(f"variance shape {matrix.shape} does not match theta ({m},)")
     precision = _invert_pd(matrix, "variance estimate")
+    from scipy import special  # deferred: slow to import, needed only here
+
     # ndtri and 2 * gammaincinv(m / 2, .) are the normal and chi-square
     # quantiles that scipy.stats evaluates, without importing scipy.stats.
     half = special.ndtri(1 - alpha / 2) * np.sqrt(np.diag(matrix) / dims.c_min)

@@ -1,0 +1,101 @@
+"""Cold start: importing multiway loads numpy only.
+
+``scipy.special``, ``scipy.optimize`` and ``scipy.integrate`` are imported
+inside the functions that call them, and the process pool only when
+``mc`` runs more than one worker. Every check runs in a fresh interpreter,
+since an earlier test in this process may already have loaded scipy.
+"""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+HEAVY = ("scipy", "multiprocessing", "concurrent.futures.process")
+
+
+def fresh(*argv, module="multiway.cli"):
+    """Import ``module`` in a fresh interpreter and run the CLI on ``argv``
+    (if any); returns the exit code and the heavy modules then loaded."""
+    code = (
+        f"import json, sys, {module}\n"
+        "code = multiway.cli.main(sys.argv[1:]) if len(sys.argv) > 1 else 0\n"
+        f"heavy = sorted(m for m in sys.modules if m.startswith({HEAVY!r}))\n"
+        "print(json.dumps({'code': code, 'heavy': heavy}))\n"
+    )
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path, OPENBLAS_NUM_THREADS="1")
+    env.pop("MULTIWAY_WORKERS", None)
+    out = subprocess.run(
+        [sys.executable, "-c", code, *map(str, argv)],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert out.returncode == 0, out.stderr
+    return json.loads(out.stdout.splitlines()[-1])
+
+
+@pytest.mark.parametrize("module", ["multiway", "multiway.cli"])
+def test_import_loads_no_scipy_and_no_process_pool(module):
+    assert fresh(module=module) == {"code": 0, "heavy": []}
+
+
+@pytest.fixture(scope="module")
+def additive_csv(tmp_path_factory):
+    path = tmp_path_factory.mktemp("cold") / "add.csv"
+    res = fresh("simulate", "--dgp", "additive", "--dims", "6,6",
+                "--cell-sizes", "poisson:2", "--seed", "3", "-o", path)
+    assert res == {"code": 0, "heavy": []}
+    return path
+
+
+@pytest.mark.parametrize("estimator", ["mean", "ratio", "quantile"])
+def test_linear_and_quantile_bootstrap_load_no_scipy(additive_csv, estimator):
+    base = additive_csv.parent / f"boot-{estimator}"
+    res = fresh("bootstrap", "--input", additive_csv, "--dims", "6,6", "--estimator",
+                estimator, "--b", "40", "--seed", "5", "-o", base)
+    assert res == {"code": 0, "heavy": []}
+    assert json.loads(Path(f"{base}.ci.json").read_text())["n_failed"] == 0
+
+
+def test_linked_cell_sizes_load_scipy_special_on_first_use(tmp_path):
+    res = fresh("simulate", "--dgp", "additive", "--dims", "6,6",
+                "--cell-sizes", "poisson:2:linked", "--seed", "3", "-o", tmp_path / "l.csv")
+    assert res["code"] == 0
+    assert "scipy.special" in res["heavy"]
+
+
+def test_probit_bootstrap_loads_scipy_special_on_first_use(tmp_path):
+    data, model = tmp_path / "p.csv", tmp_path / "probit.json"
+    model.write_text(json.dumps({"family": "probit", "outcome_index": 0, "x_index": 1}))
+    assert fresh("simulate", "--dgp", "probit", "--dims", "6,6", "--cell-sizes",
+                 "poisson:3", "--seed", "4", "-o", data)["code"] == 0
+    res = fresh("bootstrap", "--input", data, "--dims", "6,6", "--estimator", "gmm",
+                "--model-config", model, "--b", "40", "--seed", "5", "-o", tmp_path / "b")
+    assert res["code"] == 0
+    assert "scipy.special" in res["heavy"]
+
+
+def test_mc_writes_the_same_bytes_with_one_and_two_worker_processes(tmp_path):
+    config = tmp_path / "mc.json"
+    config.write_text(json.dumps({
+        "dgp": {"variant": "additive", "sigma_factors": [1.0, 1.0],
+                "cell_sizes": {"kind": "one_plus_poisson", "mu": 2.0}},
+        "dims": [5, 5],
+        "replications": 6,
+        "methods": ["wald-v1", "wald-cgm", "boot-symabs", "boot-percentile"],
+        "bootstrap_b": 40,
+        "estimator": "ratio",
+        "seed": 3,
+    }))
+    outputs = {}
+    for workers in (1, 2):
+        base = tmp_path / f"w{workers}"
+        res = fresh("mc", "--config", config, "--workers", workers, "-o", base)
+        assert res["code"] == 0
+        assert ("concurrent.futures.process" in res["heavy"]) == (workers > 1)
+        outputs[workers] = [Path(f"{base}{ext}").read_bytes() for ext in (".json", ".csv")]
+    assert outputs[1] == outputs[2]
