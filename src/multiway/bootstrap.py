@@ -121,7 +121,6 @@ def run_bootstrap(
     sample,
     b: int,
     seed: int,
-    n_workers: int = 1,
 ) -> BootstrapReplicates:
     """Run ``b`` pigeonhole replicates of a weighted re-estimation procedure.
 
@@ -130,8 +129,7 @@ def run_bootstrap(
     reproduce the unweighted estimate, which is stored as ``theta_hat``.
     Replicate b draws its weights from the stream (seed, b), and the
     replicates run one after another on the calling thread, so the
-    estimator need not be thread-safe. ``n_workers`` is accepted for
-    compatibility and changes nothing. Replicates that raise a
+    estimator need not be thread-safe. Replicates that raise a
     :class:`MultiwayError`, ``LinAlgError``, ``FloatingPointError`` or
     ``RuntimeError``, or return non-finite values, are dropped and counted;
     more than 1% failures emits a warning. Any other exception propagates.

@@ -20,7 +20,7 @@ import numpy as np
 
 from .bootstrap import percentile_ci, run_bootstrap, symmetric_abs_ci
 from .data import Dimensions
-from .dataio import read_dataset, write_dataset_csv, write_json
+from .dataio import SCHEMA_VERSION, read_dataset, write_dataset_csv, write_json
 from .errors import (
     ConfigError,
     ConvergenceError,
@@ -33,7 +33,7 @@ from .errors import (
 from .estimators import EcdfSpec, Fitted, LinearModelSpec, fit
 from .gmm import OptimizerConfig, probit_score_moments, quantile_iv_moments
 from .simulation import CellSizeLaw, DgpSpec, McConfig, generate, run_coverage
-from .variance import sigma_subset, vhat1, vhat_cgm, wald_region
+from .variance import ADJUSTMENTS, sigma_subset, vhat1, vhat_cgm, wald_region
 
 # Unused here, but the benchmark's span tracer (perfbench/spans.py) replaces
 # these names in this module's namespace, so they must stay importable from it.
@@ -48,7 +48,6 @@ EXIT_DEGENERATE = 3
 EXIT_SINGULAR = 4
 EXIT_CONVERGENCE = 5
 
-SCHEMA_VERSION = 1
 WORKERS_ENV = "MULTIWAY_WORKERS"
 
 
@@ -107,6 +106,14 @@ def _expect(value, kind: type, path: str):
     types = (int, float) if kind is float else kind
     if not isinstance(value, types) or isinstance(value, bool):
         raise ConfigError(f"{path}: expected {_JSON_KINDS[kind]}, got {type(value).__name__}")
+    return value
+
+
+def _expect_ints(value, path: str) -> list:
+    """``value`` if it is a JSON array of integers; otherwise a ConfigError
+    naming ``path``."""
+    for item in _expect(value, list, path):
+        _expect(item, int, f"{path} entry")
     return value
 
 
@@ -170,19 +177,21 @@ def _gmm_model_from_config(path):
     doc = _read_config(path, "model config")
     family = doc.get("family")
     bounds = doc.get("bounds")
+    if bounds is not None:
+        _expect(bounds, list, "bounds")
     try:
         if family == "quantile_iv":
             model = quantile_iv_moments(
-                tau=doc["tau"],
-                outcome_index=doc["outcome_index"],
-                x_indices=doc["x_indices"],
-                z_indices=doc["z_indices"],
+                tau=_expect(doc["tau"], float, "tau"),
+                outcome_index=_expect(doc["outcome_index"], int, "outcome_index"),
+                x_indices=_expect_ints(doc["x_indices"], "x_indices"),
+                z_indices=_expect_ints(doc["z_indices"], "z_indices"),
                 bounds=np.asarray(bounds) if bounds else None,
             )
         elif family == "probit":
             model = probit_score_moments(
-                outcome_index=doc.get("outcome_index", 0),
-                x_index=doc.get("x_index", 1),
+                outcome_index=_expect(doc.get("outcome_index", 0), int, "outcome_index"),
+                x_index=_expect(doc.get("x_index", 1), int, "x_index"),
                 bounds=np.asarray(bounds) if bounds else None,
             )
         else:
@@ -196,8 +205,10 @@ def _gmm_model_from_config(path):
         tol=_expect(opt.get("tol", 1e-9), float, "optimizer.tol"),
         seed=_expect(opt.get("seed", 0), int, "optimizer.seed"),
     )
-    two_step = doc.get("xi", "identity") == "two_step"
-    return model, config, two_step
+    xi = doc.get("xi", "identity")
+    if xi not in ("identity", "two_step"):
+        raise ConfigError(f'xi: expected "identity" or "two_step", got {xi!r}')
+    return model, config, xi == "two_step"
 
 
 def _gmm_options(args) -> dict:
@@ -437,7 +448,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="comma list from v1,v2,cgm (default v1; quantiles have none)",
     )
     p.add_argument("--alpha", type=float, default=0.05)
-    p.add_argument("--adjustment", default="unit", choices=["unit", "cgm"])
+    p.add_argument("--adjustment", default="unit", choices=ADJUSTMENTS)
     p.add_argument("--out", "-o", required=True)
     p.set_defaults(func=cmd_estimate)
 

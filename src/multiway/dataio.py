@@ -28,6 +28,9 @@ __all__ = [
     "write_json",
 ]
 
+# Version of the JSON documents the commands write (truth, estimate,
+# bootstrap and mc reports).
+SCHEMA_VERSION = 1
 _BLOCK_ROWS = 1 << 16  # rows formatted per write
 _NUMPY_ONLY_BLANKS = "\x1c\x1d\x1e\x1f"
 

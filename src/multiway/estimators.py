@@ -1,12 +1,14 @@
 """Concrete estimators: mean, ratio mean, OLS, ECDF and quantiles.
 
-Each estimator returns a :class:`Fitted`: its point estimate, the
-per-cell score vectors that the variance estimators consume, and its
-weighted companion (suffix ``weighted_``) as the bootstrap hook, together
-with the per-cell data the hook re-estimates from by multiplying every
-per-cell sum by W_j. With identity weights the weighted companions
-reproduce the unweighted estimate exactly. :func:`fit` is the one
-dispatch over all estimators, GMM included.
+The mean and ratio estimators average the observation vectors
+themselves (the identity cell statistic). Each estimator returns a
+:class:`Fitted`: its point estimate, the per-cell score vectors that the
+variance estimators consume, and its weighted companion (suffix
+``weighted_``) as the bootstrap hook, together with the per-cell data the
+hook re-estimates from by multiplying every per-cell sum by W_j. With
+identity weights the weighted companions reproduce the unweighted
+estimate exactly. :func:`fit` is the one dispatch over all estimators,
+GMM included.
 """
 
 from __future__ import annotations
@@ -19,7 +21,6 @@ import numpy as np
 
 from .bootstrap import PigeonholeWeights
 from .data import (
-    CellStatistic,
     CellSums,
     ClusteredSample,
     Dimensions,
@@ -42,7 +43,7 @@ from .gmm import (
     gmm_fit,
     gmm_variance,
 )
-from .variance import CenteredScores, VarianceEstimate, estimate_variance
+from .variance import CenteredScores, VarianceEstimate, check_condition, estimate_variance
 
 __all__ = [
     "EcdfSpec",
@@ -65,9 +66,6 @@ __all__ = [
     "weighted_quantile",
     "weighted_ratio",
 ]
-
-GRAM_CONDITION_CAP = 1e12
-
 
 @dataclass(frozen=True)
 class Fitted:
@@ -103,10 +101,10 @@ class Fitted:
 # ---------------------------------------------------------------------
 
 
-def mean_estimate(sample: ClusteredSample, stat: CellStatistic | None = None) -> Fitted:
-    """Mean of the cell sums S_j(f); scores are the centered sums S_j - theta."""
-    stat = stat or identity_statistic(sample.obs_dim)
-    sums = cell_sums(sample, stat)
+def mean_estimate(sample: ClusteredSample) -> Fitted:
+    """Mean of the cell sums S_j of the observations; scores are the
+    centered sums S_j - theta."""
+    sums = cell_sums(sample, identity_statistic(sample.obs_dim))
     theta = sums.values.mean(axis=0)
     scores = CenteredScores(sample.dims, sums.values - theta)
     return Fitted("mean", theta, scores, None, weighted_mean, sums, {"n_units": sample.n_units})
@@ -122,22 +120,22 @@ def weighted_mean(sums: CellSums, weights: PigeonholeWeights) -> np.ndarray:
 # ---------------------------------------------------------------------
 
 
-def ratio_cell_sums(sample: ClusteredSample, stat: CellStatistic | None = None) -> CellSums:
-    """Cell sums of f stacked with the cell sizes; last column is N_j."""
-    stat = stat or identity_statistic(sample.obs_dim)
-    fsums = cell_sums(sample, stat)
+def ratio_cell_sums(sample: ClusteredSample) -> CellSums:
+    """Cell sums of the observations stacked with the cell sizes; last
+    column is N_j."""
+    fsums = cell_sums(sample, identity_statistic(sample.obs_dim))
     sizes = sample.cell_sizes.astype(np.float64)[:, None]
     return CellSums(sample.dims, np.hstack((fsums.values, sizes)))
 
 
-def ratio_estimate(sample: ClusteredSample, stat: CellStatistic | None = None) -> Fitted:
+def ratio_estimate(sample: ClusteredSample) -> Fitted:
     """Per-unit mean with its linearized cell scores.
 
     theta is the ratio of pooled sums to the total unit count; the scores
     are T_j = (S_j - N_j theta) / (mean cell size), the linearization whose
     variance is estimated exactly like the plain mean's.
     """
-    sums = ratio_cell_sums(sample, stat)
+    sums = ratio_cell_sums(sample)
     s, n = sums.values[:, :-1], sums.values[:, -1:]
     total = float(n.sum())
     if total <= 0:
@@ -194,10 +192,7 @@ class LinearModelSpec:
 
 def _solve_gram(gram: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     evals = np.linalg.eigvalsh(0.5 * (gram + gram.T))
-    if evals[0] <= 0 or evals[-1] > GRAM_CONDITION_CAP * evals[0]:
-        raise SingularDesignError(
-            f"Gram matrix is singular (eigenvalues in [{evals[0]:.3g}, {evals[-1]:.3g}])"
-        )
+    check_condition(evals, SingularDesignError, "Gram matrix is singular")
     return np.linalg.solve(gram, rhs)
 
 
@@ -296,19 +291,10 @@ def weighted_ols(data: OlsCellData, weights: PigeonholeWeights) -> np.ndarray:
 class EcdfSpec:
     """Which observation coordinate(s) the distribution estimator looks at.
 
-    A tuple of coordinates gives the joint componentwise-<= ECDF. An
-    optional strictly increasing grid fixes default evaluation points.
+    A tuple of coordinates gives the joint componentwise-<= ECDF.
     """
 
     coordinate: int | tuple[int, ...] = 0
-    grid: np.ndarray | None = None
-
-    def __post_init__(self):
-        if self.grid is not None:
-            g = np.asarray(self.grid, dtype=np.float64)
-            if g.ndim != 1 or np.any(np.diff(g) <= 0):
-                raise ValueError("grid must be 1-d and strictly increasing")
-            object.__setattr__(self, "grid", g)
 
     def pooled(self, sample: ClusteredSample) -> np.ndarray:
         cols = self.coordinate if isinstance(self.coordinate, tuple) else (self.coordinate,)

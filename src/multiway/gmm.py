@@ -30,7 +30,7 @@ from .errors import (
     SingularDesignError,
 )
 from .seeding import stream_rng
-from .variance import CenteredScores, vhat1
+from .variance import CenteredScores, check_condition, vhat1
 
 __all__ = [
     "GmmResult",
@@ -48,9 +48,6 @@ __all__ = [
     "probit_score_moments",
     "quantile_iv_moments",
 ]
-
-BREAD_CONDITION_CAP = 1e12
-
 
 @dataclass(frozen=True)
 class MomentModel:
@@ -226,10 +223,7 @@ def gmm_variance(jhat: np.ndarray, hhat: np.ndarray, xi: WeightMatrix) -> np.nda
     jxi = jhat.T @ xi.xi
     bread = jxi @ jhat
     evals = np.linalg.eigvalsh(0.5 * (bread + bread.T))
-    if evals[0] <= 0 or evals[-1] > BREAD_CONDITION_CAP * evals[0]:
-        raise SingularDesignError(
-            f"J' Xi J is singular (eigenvalues in [{evals[0]:.3g}, {evals[-1]:.3g}])"
-        )
+    check_condition(evals, SingularDesignError, "J' Xi J is singular")
     half = np.linalg.solve(bread, jxi)
     v = half @ hhat @ half.T
     return 0.5 * (v + v.T)

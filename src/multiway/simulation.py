@@ -22,11 +22,12 @@ import numpy as np
 
 from .bootstrap import percentile_ci, run_bootstrap, symmetric_abs_ci
 from .data import ClusteredSample, Dimensions, check_dense_lattice
+from .dataio import SCHEMA_VERSION
 from .errors import ConfigError, MultiwayError, UnsupportedError
 from .estimators import EcdfSpec, fit
 from .gmm import probit_score_moments
 from .seeding import TAG_BOOT, TAG_DATA, derive_seed
-from .variance import vhat1, wald_region
+from .variance import ADJUSTMENTS, vhat1, wald_region
 
 # Unused here, but the benchmark's span tracer (perfbench/spans.py) replaces
 # these names in this module's namespace, so they must stay importable from it.
@@ -311,6 +312,8 @@ class McConfig:
                 raise ConfigError(f"methods: unknown method {m!r}")
         if self.estimator not in ESTIMATORS:
             raise ConfigError(f"estimator: unknown kind {self.estimator!r}")
+        if self.adjustment not in ADJUSTMENTS:
+            raise ConfigError(f"adjustment: unknown preset {self.adjustment!r}")
         needs_boot = any(m.startswith("boot") for m in self.methods)
         if needs_boot and self.bootstrap_b < 1.0 / self.alpha:
             raise ConfigError(
@@ -353,7 +356,7 @@ class McReport:
 
     def to_json_dict(self) -> dict:
         return {
-            "schema_version": 1,
+            "schema_version": SCHEMA_VERSION,
             "n_replications": self.n_replications,
             "theta_mc_sd": self.theta_mc_sd,
             "mean_boot_se": self.mean_boot_se,

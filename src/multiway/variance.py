@@ -36,8 +36,20 @@ __all__ = [
     "wald_region",
 ]
 
-# Variance matrices whose eigenvalue spread exceeds this are treated as singular.
+# The vhat_cgm finite-sample presets.
+ADJUSTMENTS = ("unit", "cgm")
+# Matrices whose eigenvalue spread exceeds this are treated as singular.
 CONDITION_CAP = 1e12
+
+
+def check_condition(evals: np.ndarray, error: type[Exception], what: str) -> None:
+    """Raise ``error`` when the ascending eigenvalues ``evals`` of a
+    symmetric matrix include one <= 0 or spread over ``CONDITION_CAP``.
+
+    The message is ``what`` followed by the eigenvalue range.
+    """
+    if evals[0] <= 0 or evals[-1] > CONDITION_CAP * evals[0]:
+        raise error(f"{what} (eigenvalues in [{evals[0]:.3g}, {evals[-1]:.3g}])")
 
 
 class CenteredScores(CellSums):
@@ -154,7 +166,7 @@ def _cgm_factor(dims: Dimensions, axes: tuple[int, ...], preset: str) -> float:
                 f"cgm adjustment undefined for subset {axes}: prod(C) = {prod}"
             )
         return prod / (prod - 1)
-    raise ValueError(f"unknown adjustment preset {preset!r}")
+    raise ConfigError(f"adjustment: unknown preset {preset!r}")
 
 
 def vhat_cgm(scores: CenteredScores, adjustment: str = "unit") -> VarianceEstimate:
@@ -197,24 +209,18 @@ def estimate_variance(
     raise ConfigError(f"unknown variance kind {kind!r}")
 
 
-def sigma_subset(
-    scores: CenteredScores, axes: Sequence[int], adjustment: float = 1.0
-) -> np.ndarray:
-    """One inclusion-exclusion building block: adjustment / pi_c^2 times the
-    pair sum over cells agreeing on every axis in ``axes``."""
+def sigma_subset(scores: CenteredScores, axes: Sequence[int]) -> np.ndarray:
+    """One inclusion-exclusion building block: 1 / pi_c^2 times the pair
+    sum over cells agreeing on every axis in ``axes``."""
     if not axes:
         raise ValueError("axes subset must be nonempty")
-    return adjustment / scores.dims.pi_c**2 * _pair_sum(scores, axes)
+    return 1.0 / scores.dims.pi_c**2 * _pair_sum(scores, axes)
 
 
 def _invert_pd(matrix: np.ndarray, what: str) -> np.ndarray:
     sym = 0.5 * (matrix + matrix.T)
     evals, evecs = np.linalg.eigh(sym)
-    if evals[0] <= 0 or evals[-1] > CONDITION_CAP * evals[0]:
-        raise SingularVarianceError(
-            f"{what} is singular or indefinite "
-            f"(eigenvalues in [{evals[0]:.3g}, {evals[-1]:.3g}])"
-        )
+    check_condition(evals, SingularVarianceError, f"{what} is singular or indefinite")
     return (evecs / evals) @ evecs.T
 
 

@@ -106,13 +106,13 @@ def mean_est(s, w):
     return (w.cell_weights()[:, None] * s.values).mean(axis=0)
 
 
-def test_run_bootstrap_deterministic_across_runs_and_workers():
+def test_run_bootstrap_deterministic_across_runs():
     dims = Dimensions((4, 4))
     rng = np.random.default_rng(4)
     sums = CellSums(dims, rng.normal(size=(16, 1)))
-    a = run_bootstrap(mean_est, sums, b=50, seed=123, n_workers=1)
-    b = run_bootstrap(mean_est, sums, b=50, seed=123, n_workers=1)
-    c = run_bootstrap(mean_est, sums, b=50, seed=123, n_workers=4)
+    a = run_bootstrap(mean_est, sums, b=50, seed=123)
+    b = run_bootstrap(mean_est, sums, b=50, seed=123)
+    c = run_bootstrap(mean_est, sums, b=50, seed=123)
     np.testing.assert_array_equal(a.thetas, b.thetas)
     np.testing.assert_array_equal(a.thetas, c.thetas)
 

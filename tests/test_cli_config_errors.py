@@ -13,6 +13,9 @@ MC_BASE = {
     "estimator": "ratio",
 }
 PROBIT = {"family": "probit", "outcome_index": 0, "x_index": 1}
+QUANTILE_IV = {
+    "family": "quantile_iv", "tau": 0.5, "outcome_index": 0, "x_indices": [1], "z_indices": [1]
+}
 
 
 def mc_case(**changes):
@@ -31,6 +34,13 @@ CASES = {
     "optimizer field type": (
         "gmm", {**PROBIT, "optimizer": {"n_starts": "5"}}, {}, "optimizer.n_starts"
     ),
+    "tau string": ("gmm", {**QUANTILE_IV, "tau": "x"}, {}, "tau"),
+    "x_indices number": ("gmm", {**QUANTILE_IV, "x_indices": 1}, {}, "x_indices"),
+    "z_indices entry string": ("gmm", {**QUANTILE_IV, "z_indices": ["1"]}, {}, "z_indices"),
+    "outcome_index string": ("gmm", {**PROBIT, "outcome_index": "a"}, {}, "outcome_index"),
+    "x_index number": ("gmm", {**PROBIT, "x_index": 1.5}, {}, "x_index"),
+    "bounds string": ("gmm", {**PROBIT, "bounds": "wide"}, {}, "bounds"),
+    "unknown xi": ("gmm", {**PROBIT, "xi": "twostep"}, {}, "xi"),
     "mc config array": ("mc", [MC_BASE], {}, "config"),
     "dgp not an object": (*mc_case(dgp=["additive"]), {}, "dgp"),
     "unknown cell_sizes key": (
@@ -47,6 +57,10 @@ CASES = {
         *mc_case(methods=["boot-symabs"], bootstrap_b="40"), {}, "bootstrap_b"
     ),
     "seed string": (*mc_case(seed="7"), {}, "seed"),
+    "unknown adjustment": (*mc_case(adjustment="foo"), {}, "adjustment:"),
+    "unknown adjustment with wald-cgm": (
+        *mc_case(methods=["wald-cgm"], adjustment="foo"), {}, "adjustment:"
+    ),
     "workers environment": ("mc", MC_BASE, {"MULTIWAY_WORKERS": "abc"}, "MULTIWAY_WORKERS"),
 }
 

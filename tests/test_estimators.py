@@ -258,15 +258,6 @@ def pooled_sample(values, counts=(2, 2)):
     return load_sample(records, Dimensions(counts))
 
 
-def test_ecdf_spec_rejects_unsorted_grid():
-    with pytest.raises(ValueError):
-        EcdfSpec(grid=[1.0, 1.0, 2.0])
-    with pytest.raises(ValueError):
-        EcdfSpec(grid=[2.0, 1.0])
-    spec = EcdfSpec(grid=[0.0, 0.5, 1.0])
-    assert spec.grid.tolist() == [0.0, 0.5, 1.0]
-
-
 def test_ecdf_boundaries():
     sample = pooled_sample([1.0, 2.0, 3.0, 4.0])
     spec = EcdfSpec()

@@ -271,16 +271,16 @@ def test_probit_cache_alternating_values_arrays():
     assert model.jacobian(c, theta).tobytes() == ref.jacobian(c, theta).tobytes()
 
 
-def test_probit_cache_threads_match_serial():
+def test_probit_cache_reruns_match():
     sample = _sample((12, 12), 3.0, 8)
     model = probit_score_moments(0, 2)
     theta_hat = gmm_fit(sample, model).theta
     hook = gmm_bootstrap_estimator(model, warm_start=theta_hat)
-    serial = run_bootstrap(hook, sample, b=40, seed=9, n_workers=1)
-    threaded = run_bootstrap(hook, sample, b=40, seed=9, n_workers=4)
-    assert threaded.thetas.tobytes() == serial.thetas.tobytes()
-    assert threaded.indices.tobytes() == serial.indices.tobytes()
-    assert threaded.theta_hat.tobytes() == serial.theta_hat.tobytes()
+    serial = run_bootstrap(hook, sample, b=40, seed=9)
+    rerun = run_bootstrap(hook, sample, b=40, seed=9)
+    assert rerun.thetas.tobytes() == serial.thetas.tobytes()
+    assert rerun.indices.tobytes() == serial.indices.tobytes()
+    assert rerun.theta_hat.tobytes() == serial.theta_hat.tobytes()
     ref = run_bootstrap(
         gmm_bootstrap_estimator(_reference_probit(0, 2), warm_start=theta_hat),
         sample, b=40, seed=9,

@@ -1,32 +1,13 @@
-"""Import cost: the CLI loads no slow scipy subpackage it does not use.
-
-``wald_region`` takes its normal and chi-square quantiles from
-``scipy.special``; ``scipy.optimize`` and ``scipy.integrate`` are imported
-where they are called.
+"""``wald_region`` takes its normal and chi-square quantiles from
+``scipy.special`` without importing ``scipy.stats``; they equal the
+``scipy.stats`` quantiles bit for bit. (That ``import multiway.cli`` loads
+no scipy at all is checked in test_cold_start.py.)
 """
-
-import os
-import subprocess
-import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
 
 from multiway import Dimensions, wald_region
-
-SRC = Path(__file__).resolve().parents[1] / "src"
-SLOW = ("scipy.stats", "scipy.optimize", "scipy.integrate")
-
-
-def test_cli_import_skips_slow_scipy_subpackages():
-    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
-    env = dict(os.environ, PYTHONPATH=path)
-    code = f"import sys, multiway.cli; print([m for m in {SLOW!r} if m in sys.modules])"
-    out = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
-    )
-    assert out.stdout.strip() == "[]"
 
 
 @pytest.mark.parametrize("alpha", [0.5, 0.2, 0.1, 0.05, 0.01, 1e-3, 1e-6])

@@ -31,7 +31,7 @@ def test_run_bootstrap_calls_the_hook_only_on_the_callers_thread():
         seen.append(threading.get_ident())
         return weighted_ols(data, weights)
 
-    reps = run_bootstrap(hook, ols_cell_data(sample, LinearModelSpec(0, (1,))), 40, 7, n_workers=4)
+    reps = run_bootstrap(hook, ols_cell_data(sample, LinearModelSpec(0, (1,))), 40, 7)
     assert reps.n_failed == 0
     assert len(seen) == 41  # the identity estimate, then 40 replicates
     assert set(seen) == {threading.get_ident()}
