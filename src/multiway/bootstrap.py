@@ -28,6 +28,7 @@ __all__ = [
     "QUANTILE_RULE",
     "SymmetricAbsRegion",
     "draw_weights",
+    "min_replicates",
     "percentile_ci",
     "run_bootstrap",
     "symmetric_abs_ci",
@@ -37,6 +38,13 @@ __all__ = [
 # Empirical quantiles are the ceil(n * q)-th order statistic (left-continuous
 # inverse ECDF); the small slack guards the float representation of q.
 QUANTILE_RULE = "ceil-order-statistic"
+
+
+def min_replicates(interval: str, alpha: float) -> int:
+    """Fewest replicates that resolve the quantiles an interval reads:
+    1/alpha for "symmetric-abs" (the 1 - alpha quantile) and 2/alpha for
+    "percentile" (the alpha/2 quantile)."""
+    return math.ceil({"symmetric-abs": 1.0, "percentile": 2.0}[interval] / alpha)
 
 
 def _order_statistic(sorted_values: np.ndarray, q: float) -> float:
@@ -227,7 +235,7 @@ class PercentileRegion:
 def symmetric_abs_ci(reps: BootstrapReplicates, alpha: float) -> SymmetricAbsRegion:
     """Region from the (1 - alpha) conditional quantile of |theta* - theta_hat|."""
     n = reps.thetas.shape[0]
-    if n < 1.0 / alpha:
+    if n < min_replicates("symmetric-abs", alpha):
         raise InsufficientReplicatesError(
             f"{n} replicates cannot resolve the {1 - alpha:.3f} quantile"
         )
@@ -240,7 +248,7 @@ def symmetric_abs_ci(reps: BootstrapReplicates, alpha: float) -> SymmetricAbsReg
 def percentile_ci(reps: BootstrapReplicates, alpha: float) -> PercentileRegion:
     """Coordinate-wise empirical quantile interval of the replicates."""
     n = reps.thetas.shape[0]
-    if n < 2.0 / alpha:
+    if n < min_replicates("percentile", alpha):
         raise InsufficientReplicatesError(
             f"{n} replicates cannot resolve the {alpha / 2:.4f} quantile"
         )

@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .bootstrap import percentile_ci, run_bootstrap, symmetric_abs_ci
+from .bootstrap import min_replicates, percentile_ci, run_bootstrap, symmetric_abs_ci
 from .data import Dimensions
 from .dataio import SCHEMA_VERSION, read_dataset, write_dataset_csv, write_json
 from .errors import (
@@ -301,15 +301,18 @@ def cmd_estimate(args) -> int:
 
 
 def cmd_bootstrap(args) -> int:
-    if args.b < 1.0 / args.alpha:
+    need = min_replicates("percentile", args.alpha)
+    if args.b < need:
         raise InsufficientReplicatesError(
-            f"b={args.b} cannot resolve alpha={args.alpha}; need b >= {1 / args.alpha:.0f}"
+            f"b={args.b} cannot resolve alpha={args.alpha}; need b >= {need}"
         )
     sample = _load_input(args)
     seed = _effective_seed(args.seed)
     args.seed = seed  # the GMM warm-start fit shares the printed seed
     fitted = _fit(args, sample)
     reps = run_bootstrap(fitted.hook, fitted.prepared, args.b, seed)
+    sym = symmetric_abs_ci(reps, args.alpha)
+    per = percentile_ci(reps, args.alpha)
     out = Path(args.out)
     rep_path = out.parent / (out.name + ".replicates.csv")
     with open(rep_path, "w", encoding="utf-8", newline="") as fh:
@@ -318,8 +321,6 @@ def cmd_bootstrap(args) -> int:
         for idx, row in zip(reps.indices, reps.thetas):
             writer.writerow([int(idx)] + [repr(float(v)) for v in row])
 
-    sym = symmetric_abs_ci(reps, args.alpha)
-    per = percentile_ci(reps, args.alpha)
     write_json(
         out.parent / (out.name + ".ci.json"),
         {

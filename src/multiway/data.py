@@ -27,6 +27,7 @@ __all__ = [
     "Dimensions",
     "cell_subsample",
     "cell_sums",
+    "check_columns",
     "check_dense_lattice",
     "count_statistic",
     "identity_statistic",
@@ -231,6 +232,17 @@ def check_dense_lattice(dims: Dimensions) -> None:
         )
 
 
+def check_columns(n_columns: int, **fields: Iterable[int]) -> None:
+    """Refuse, naming its field, a column index outside [0, n_columns); a
+    negative index would otherwise read a column from the end."""
+    for name, indices in fields.items():
+        for i in indices:
+            if not 0 <= i < n_columns:
+                raise ShapeError(
+                    f"{name}: column {i} out of range for {n_columns} observation columns"
+                )
+
+
 def sample_from_cell_ids(
     dims: Dimensions, flat_ids: np.ndarray, values: np.ndarray
 ) -> ClusteredSample:
@@ -276,11 +288,7 @@ def margin_sum(sums: CellSums, axis: int) -> np.ndarray:
     Returns an array of shape (C_axis, out_dim); row r is the sum over the
     cells whose coordinate on ``axis`` is the cluster r + 1.
     """
-    k = sums.dims.k
-    if not 0 <= axis < k:
-        raise IndexError(f"axis {axis} out of range for k={k}")
-    other = tuple(i for i in range(k) if i != axis)
-    return sums.grid().sum(axis=other)
+    return subset_margin_sum(sums, (axis,))
 
 
 def subset_margin_sum(sums: CellSums, axes: Sequence[int]) -> np.ndarray:

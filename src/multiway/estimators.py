@@ -25,6 +25,7 @@ from .data import (
     ClusteredSample,
     Dimensions,
     cell_sums,
+    check_columns,
     identity_statistic,
     sum_by_cell,
 )
@@ -181,9 +182,11 @@ class LinearModelSpec:
 
     def design(self, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(X, y) for a stacked observation array."""
-        d = values.shape[1]
-        if self.outcome_index >= d or any(i >= d for i in self.regressor_indices):
-            raise ShapeError(f"spec indices exceed observation dimension {d}")
+        check_columns(
+            values.shape[1],
+            outcome_index=(self.outcome_index,),
+            regressor_indices=self.regressor_indices,
+        )
         cols = [values[:, list(self.regressor_indices)]]
         if self.intercept:
             cols.insert(0, np.ones((values.shape[0], 1)))
@@ -298,8 +301,7 @@ class EcdfSpec:
 
     def pooled(self, sample: ClusteredSample) -> np.ndarray:
         cols = self.coordinate if isinstance(self.coordinate, tuple) else (self.coordinate,)
-        if any(c >= sample.obs_dim for c in cols):
-            raise ShapeError(f"coordinate {cols} exceeds observation dimension")
+        check_columns(sample.obs_dim, coordinate=cols)
         return sample.values[:, list(cols)]
 
 
@@ -352,15 +354,13 @@ def quantile_data(sample: ClusteredSample, spec: EcdfSpec, tau: float) -> Quanti
 def quantile_estimate(sample: ClusteredSample, spec: EcdfSpec, tau: float) -> Fitted:
     """Left generalized inverse of the ECDF over the observed support.
 
-    theta is the smallest observed value y with F(y) >= tau. No analytic
-    variance is produced; inference goes through the pigeonhole bootstrap
-    (see :func:`weighted_quantile`).
+    theta is the smallest observed value y with F(y) >= tau, found by the
+    bootstrap hook :func:`weighted_quantile` at identity weights. No analytic
+    variance is produced; inference goes through the pigeonhole bootstrap.
     """
     data = quantile_data(sample, spec, tau)
-    n = data.sorted_values.shape[0]
-    k = max(int(np.ceil(n * tau - 1e-9)) - 1, 0)
-    theta = np.array([data.sorted_values[k]])
-    meta = {"tau": tau, "n_units": n}
+    theta = weighted_quantile(data, PigeonholeWeights.identity(data.dims))
+    meta = {"tau": tau, "n_units": data.sorted_values.shape[0]}
     return Fitted("quantile", theta, None, None, weighted_quantile, data, meta)
 
 

@@ -22,11 +22,12 @@ from typing import Callable
 import numpy as np
 
 from .bootstrap import PigeonholeWeights
-from .data import ClusteredSample, cell_subsample, sum_by_cell
+from .data import ClusteredSample, cell_subsample, check_columns, sum_by_cell
 from .errors import (
     ConvergenceError,
     EmptySampleError,
     ModelError,
+    MultiwayError,
     SingularDesignError,
 )
 from .seeding import stream_rng
@@ -82,6 +83,8 @@ class MomentModel:
     def moments(self, values: np.ndarray, theta: np.ndarray) -> np.ndarray:
         try:
             out = np.asarray(self.fn(values, theta), dtype=np.float64)
+        except MultiwayError:  # the model's own refusal keeps its message
+            raise
         except Exception as exc:
             raise ModelError(f"moment evaluation failed at theta={theta}") from exc
         if out.shape != (values.shape[0], self.n_moments):
@@ -518,6 +521,9 @@ def quantile_iv_moments(
         bounds = np.tile([-10.0, 10.0], (p, 1))
 
     def fn(values, theta):
+        check_columns(
+            values.shape[1], outcome_index=(outcome_index,), x_indices=x_idx, z_indices=z_idx
+        )
         w = values[:, outcome_index]
         x = values[:, x_idx]
         z = values[:, z_idx]
@@ -564,6 +570,7 @@ def probit_score_moments(
         hit = last
         if hit is not None and hit[0] is values and hit[1] == key:
             return hit[2]
+        check_columns(values.shape[1], outcome_index=(outcome_index,), x_index=(x_index,))
         y = values[:, outcome_index]
         if not np.all((y == 0) | (y == 1)):
             raise ModelError("probit outcome must be binary in {0, 1}")

@@ -15,12 +15,14 @@ only.
 from __future__ import annotations
 
 import math
+from contextlib import nullcontext
 from dataclasses import asdict, dataclass, field
+from functools import partial
 from typing import Sequence
 
 import numpy as np
 
-from .bootstrap import percentile_ci, run_bootstrap, symmetric_abs_ci
+from .bootstrap import min_replicates, percentile_ci, run_bootstrap, symmetric_abs_ci
 from .data import ClusteredSample, Dimensions, check_dense_lattice
 from .dataio import SCHEMA_VERSION
 from .errors import ConfigError, MultiwayError, UnsupportedError
@@ -50,6 +52,8 @@ __all__ = [
 
 VARIANTS = ("additive", "additive3", "product", "probit")
 METHODS = ("wald-v1", "wald-v2", "wald-cgm", "boot-symabs", "boot-percentile")
+# The bootstrap interval behind each boot method.
+_INTERVALS = {"boot-symabs": "symmetric-abs", "boot-percentile": "percentile"}
 # Each harness estimator as the estimators.fit call it makes.
 _FIT_ARGS = {
     "mean": ("mean", {}),
@@ -314,11 +318,14 @@ class McConfig:
             raise ConfigError(f"estimator: unknown kind {self.estimator!r}")
         if self.adjustment not in ADJUSTMENTS:
             raise ConfigError(f"adjustment: unknown preset {self.adjustment!r}")
-        needs_boot = any(m.startswith("boot") for m in self.methods)
-        if needs_boot and self.bootstrap_b < 1.0 / self.alpha:
+        need = max(
+            (min_replicates(_INTERVALS[m], self.alpha) for m in self.methods if m in _INTERVALS),
+            default=0,
+        )
+        if self.bootstrap_b < need:
             raise ConfigError(
-                f"bootstrap_b: need at least {math.ceil(1 / self.alpha)} replicates "
-                f"for alpha={self.alpha}"
+                f"bootstrap_b: need at least {need} replicates for alpha={self.alpha} "
+                f"and methods {list(self.methods)}"
             )
         if self.estimator == "median" and any(
             m.startswith("wald") for m in self.methods
@@ -396,64 +403,62 @@ def _interval_length(intervals: np.ndarray) -> float:
     return float(widths.mean())
 
 
+def _outcome(method: str, fitted, reps, theta0: np.ndarray, config: McConfig):
+    """(covered, length) of one method's region; a MultiwayError if it is refused."""
+    if method == "boot-symabs":
+        region = symmetric_abs_ci(reps, config.alpha)
+        return bool(region.contains(theta0)), 2.0 * region.radius
+    if method == "boot-percentile":
+        region = percentile_ci(reps, config.alpha)
+    else:
+        v = fitted.variance(method.split("-", 1)[1], config.adjustment)
+        region = wald_region(fitted.theta, v, config.dims, config.alpha)
+    return bool(region.contains(theta0)), _interval_length(region.intervals)
+
+
 def _one_replication(config: McConfig, r: int) -> dict:
+    """Replication ``r``: ``outcomes`` holds one entry per method, (covered,
+    length) or None when the fit, the variance, the bootstrap or that
+    method's own interval raised a :class:`MultiwayError`. ``theta`` is None
+    when the fit raised; ``boot_se`` and ``near_zero_variance`` are present
+    only when computed.
+    """
     theta0 = true_theta(config.dgp, config.estimator)
     sample, _ = generate(config.dgp, config.dims, derive_seed(config.seed, r, TAG_DATA))
-    out: dict = {"covered": {}, "length": {}, "failed": {}}
+    out: dict = {"theta": None, "outcomes": dict.fromkeys(config.methods)}
     kind, options = _FIT_ARGS[config.estimator]
     try:
         fitted = fit(kind, sample, **options)
     except MultiwayError:
-        for m in config.methods:
-            out["failed"][m] = True
-        out["theta"] = None
         return out
-    theta, scores = fitted.theta, fitted.scores
-    out["theta"] = theta.tolist()
+    out["theta"] = fitted.theta.tolist()
 
-    if scores is not None:
-        v1 = vhat1(scores).matrix
+    if fitted.scores is not None:
+        v1 = vhat1(fitted.scores).matrix
         baseline = (
             config.dims.k
             * config.dims.c_min
             / config.dims.pi_c**2
-            * float((scores.values**2).sum())
+            * float((fitted.scores.values**2).sum())
         )
         out["near_zero_variance"] = bool(np.trace(v1) <= 4.0 * baseline)
 
-    for method in config.methods:
-        if not method.startswith("wald"):
-            continue
-        try:
-            v = fitted.variance(method.split("-", 1)[1], config.adjustment)
-            region = wald_region(theta, v, config.dims, config.alpha)
-        except MultiwayError:
-            out["failed"][method] = True
-            continue
-        out["covered"][method] = bool(region.contains(theta0))
-        out["length"][method] = _interval_length(region.intervals)
-
+    reps = None
     if any(m.startswith("boot") for m in config.methods):
+        boot_seed = derive_seed(config.seed, r, TAG_BOOT)
         try:
-            reps = run_bootstrap(
-                fitted.hook,
-                fitted.prepared,
-                config.bootstrap_b,
-                derive_seed(config.seed, r, TAG_BOOT),
-            )
+            reps = run_bootstrap(fitted.hook, fitted.prepared, config.bootstrap_b, boot_seed)
             out["boot_se"] = reps.thetas.std(axis=0, ddof=1).tolist()
-            if "boot-symabs" in config.methods:
-                region = symmetric_abs_ci(reps, config.alpha)
-                out["covered"]["boot-symabs"] = bool(region.contains(theta0))
-                out["length"]["boot-symabs"] = 2.0 * region.radius
-            if "boot-percentile" in config.methods:
-                region = percentile_ci(reps, config.alpha)
-                out["covered"]["boot-percentile"] = bool(region.contains(theta0))
-                out["length"]["boot-percentile"] = _interval_length(region.intervals)
         except MultiwayError:
-            for m in config.methods:
-                if m.startswith("boot"):
-                    out["failed"][m] = True
+            pass
+
+    for method in config.methods:
+        if reps is None and method.startswith("boot"):
+            continue
+        try:
+            out["outcomes"][method] = _outcome(method, fitted, reps, theta0, config)
+        except MultiwayError:
+            pass
     return out
 
 
@@ -461,35 +466,32 @@ def run_coverage(config: McConfig, progress=None) -> McReport:
     """Run the full experiment; deterministic given (config, seed).
 
     Replications are independent streams of (seed, index), so any worker
-    count produces the same report. ``progress`` (a callable taking the
-    finished count) receives updates.
+    count produces the same report: more than one worker only moves the
+    calls of :func:`_one_replication` into a process pool. ``progress`` (a
+    callable taking the finished count) receives updates. Each method
+    counts a replication as used when its region was formed and as failed
+    otherwise, so ``n_used + n_failed`` is ``replications``.
     """
     r_total = config.replications
+    pool, run = nullcontext(), map
     if config.n_workers > 1:
         from concurrent.futures import ProcessPoolExecutor  # deferred: imports multiprocessing
 
-        with ProcessPoolExecutor(max_workers=config.n_workers) as pool:
-            chunk = max(1, r_total // (config.n_workers * 8))
-            results = []
-            for i, res in enumerate(
-                pool.map(_one_replication, [config] * r_total, range(r_total), chunksize=chunk)
-            ):
-                results.append(res)
-                if progress:
-                    progress(i + 1)
-    else:
-        results = []
-        for r in range(r_total):
-            results.append(_one_replication(config, r))
+        pool = ProcessPoolExecutor(max_workers=config.n_workers)
+        run = partial(pool.map, chunksize=max(1, r_total // (config.n_workers * 8)))
+    results = []
+    with pool:
+        for res in run(_one_replication, [config] * r_total, range(r_total)):
+            results.append(res)
             if progress:
-                progress(r + 1)
+                progress(len(results))
 
     methods = []
     for m in config.methods:
-        covered = [res["covered"][m] for res in results if m in res["covered"]]
-        lengths = [res["length"][m] for res in results if m in res["length"]]
-        n_failed = sum(1 for res in results if res["failed"].get(m))
-        n_used = len(covered)
+        used = [res["outcomes"][m] for res in results if res["outcomes"][m] is not None]
+        covered = [c for c, _ in used]
+        lengths = [length for _, length in used]
+        n_used = len(used)
         cov = float(np.mean(covered)) if covered else float("nan")
         mc_se = (
             math.sqrt(cov * (1 - cov) / n_used) if n_used and np.isfinite(cov) else float("nan")
@@ -502,7 +504,7 @@ def run_coverage(config: McConfig, progress=None) -> McReport:
                 rejection_rate=1.0 - cov if np.isfinite(cov) else float("nan"),
                 avg_length=float(np.mean(lengths)) if lengths else float("nan"),
                 n_used=n_used,
-                n_failed=n_failed,
+                n_failed=r_total - n_used,
             )
         )
 

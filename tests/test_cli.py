@@ -251,6 +251,20 @@ def test_bootstrap_insufficient_b(tmp_path):
     assert code == 2
 
 
+def test_bootstrap_refuses_b_below_the_percentile_minimum(tmp_path, capsys):
+    # b = 20 resolves the symmetric-abs 0.95 quantile, but the percentile
+    # interval's 0.025 quantile needs b >= 2 / alpha = 40: refused before
+    # resampling, so neither output file is written
+    data = simulate(tmp_path, seed=15)
+    code = run(
+        ["bootstrap", "--input", data, "--dims", "5,5", "--b", "20", "--alpha", "0.05",
+         "--seed", "1", "--out", tmp_path / "x"]
+    )
+    assert code == 2
+    assert "need b >= 40" in capsys.readouterr().err
+    assert list(tmp_path.glob("x*")) == []
+
+
 def test_estimate_singular_variance_exit_code(tmp_path):
     # constant data: every score is zero, so vhat1 = 0 and the Wald region
     # cannot be formed

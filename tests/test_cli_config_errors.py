@@ -27,7 +27,8 @@ def dgp_case(**changes):
     return mc_case(dgp={**MC_BASE["dgp"], **changes})
 
 
-# case -> (command, config document, environment, the field stderr must name)
+# case -> (command, config document, environment, the field stderr must name);
+# for the "estimate" command the second entry is the estimator flags instead
 CASES = {
     "model config array": ("gmm", [PROBIT], {}, "model config"),
     "optimizer not an object": ("gmm", {**PROBIT, "optimizer": [1]}, {}, "optimizer"),
@@ -39,6 +40,22 @@ CASES = {
     "z_indices entry string": ("gmm", {**QUANTILE_IV, "z_indices": ["1"]}, {}, "z_indices"),
     "outcome_index string": ("gmm", {**PROBIT, "outcome_index": "a"}, {}, "outcome_index"),
     "x_index number": ("gmm", {**PROBIT, "x_index": 1.5}, {}, "x_index"),
+    "x_index negative": ("gmm", {**PROBIT, "x_index": -1}, {}, "x_index"),
+    "x_index out of range": ("gmm", {**PROBIT, "x_index": 7}, {}, "x_index"),
+    "z_indices entry negative": ("gmm", {**QUANTILE_IV, "z_indices": [-1]}, {}, "z_indices"),
+    "probit outcome not binary": (
+        "gmm", {**PROBIT, "outcome_index": 1, "x_index": 0}, {}, "outcome must be binary"
+    ),
+    "ols outcome negative": (
+        "estimate", ["--estimator", "ols", "--outcome", "-1", "--regressors", "1"], {},
+        "outcome_index",
+    ),
+    "ols regressor out of range": (
+        "estimate", ["--estimator", "ols", "--regressors", "5"], {}, "regressor_indices"
+    ),
+    "quantile coordinate negative": (
+        "estimate", ["--estimator", "quantile", "--coordinate", "-1"], {}, "coordinate"
+    ),
     "bounds string": ("gmm", {**PROBIT, "bounds": "wide"}, {}, "bounds"),
     "unknown xi": ("gmm", {**PROBIT, "xi": "twostep"}, {}, "xi"),
     "mc config array": ("mc", [MC_BASE], {}, "config"),
@@ -85,8 +102,9 @@ def test_malformed_config_exits_2_naming_the_field(
     if command == "mc":
         argv = ["mc", "--config", config, "--out", tmp_path / "r"]
     else:
-        argv = ["estimate", "--input", probit_csv, "--dims", "4,4", "--estimator", "gmm",
-                "--model-config", config, "--out", tmp_path / "e.json"]
+        flags = ["--estimator", "gmm", "--model-config", config] if command == "gmm" else doc
+        argv = ["estimate", "--input", probit_csv, "--dims", "4,4", *flags,
+                "--out", tmp_path / "e.json"]
     capsys.readouterr()
     assert main([str(a) for a in argv]) == 2
     message = capsys.readouterr().err.splitlines()[-1]

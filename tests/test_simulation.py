@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from multiway import Dimensions, UnsupportedError
-from multiway.errors import ConfigError
+from multiway import simulation
+from multiway.errors import ConfigError, InsufficientReplicatesError
 from multiway.simulation import (
     CellSizeLaw,
     DgpSpec,
@@ -193,6 +194,12 @@ def test_config_validation():
         McConfig(
             dgp=dgp, dims=dims, replications=2, methods=("boot-symabs",), bootstrap_b=5
         )
+    # the percentile interval needs 2 / alpha replicates, symmetric-abs 1 / alpha
+    with pytest.raises(ConfigError, match="bootstrap_b"):
+        McConfig(
+            dgp=dgp, dims=dims, replications=2, methods=("boot-percentile",), bootstrap_b=20
+        )
+    McConfig(dgp=dgp, dims=dims, replications=2, methods=("boot-symabs",), bootstrap_b=20)
     with pytest.raises(ConfigError, match="methods"):
         McConfig(dgp=dgp, dims=dims, replications=2, methods=("wald-v9",))
     with pytest.raises(ConfigError):
@@ -230,6 +237,28 @@ def test_run_coverage_small_smoke_and_determinism():
     assert 0.5 <= wald.coverage <= 1.0
     assert r1.mean_boot_se is not None and r1.mean_boot_se[0] > 0
     assert len(r1.theta_mc_sd) == 1
+
+
+def test_run_coverage_counts_each_replication_once_per_method(monkeypatch):
+    # a refused percentile interval fails boot-percentile alone; every method
+    # counts each replication either as used or as failed
+    def refuse(reps, alpha):
+        raise InsufficientReplicatesError("refused")
+
+    monkeypatch.setattr(simulation, "percentile_ci", refuse)
+    config = McConfig(
+        dgp=additive(),
+        dims=Dimensions((6, 6)),
+        replications=6,
+        methods=("wald-v1", "boot-symabs", "boot-percentile"),
+        bootstrap_b=40,
+        seed=5,
+    )
+    report = {m.method: m for m in run_coverage(config).methods}
+    for m in report.values():
+        assert m.n_used + m.n_failed == 6
+    assert report["boot-symabs"].n_failed == 0
+    assert report["boot-percentile"].n_used == 0
 
 
 def test_run_coverage_workers_do_not_change_report():
