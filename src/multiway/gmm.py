@@ -134,8 +134,6 @@ class GmmResult:
     theta: np.ndarray
     objective_value: float
     jhat: np.ndarray | None
-    hhat: np.ndarray
-    vhat: np.ndarray | None
     weight: WeightMatrix
     trace: dict = field(default_factory=dict)
 
@@ -416,8 +414,11 @@ def gmm_fit(
     scalar models use a bracketing grid refine, and nonsmooth multivariate
     models Nelder-Mead. ``two_step=True`` refits with
     Xi = (H(theta_1) + ridge I)^-1 from a first identity-weighted pass.
-    For nonsmooth models the result carries ``jhat=None`` and ``vhat=None``;
-    inference then goes through the pigeonhole bootstrap.
+    An unidentified smooth model raises SingularDesignError: Xi^(1/2) J at
+    theta-hat must be finite with squared singular values (J' Xi J's
+    eigenvalues, unformed) that pass ``check_condition``. The sandwich is
+    ``Fitted.variance``; nonsmooth models carry ``jhat=None`` and go
+    through the pigeonhole bootstrap.
     """
     xi = xi or WeightMatrix.identity(model.n_moments)
     config = config or OptimizerConfig()
@@ -432,20 +433,16 @@ def gmm_fit(
         theta, val, evals2 = _minimize(sample, model, xi, config)
         evals += evals2
 
-    hhat = gmm_hhat(sample, model, theta)
-    jhat = vhat = None
+    jhat = None
     if model.jacobian is not None or model.smooth:
         jhat = gmm_jhat(sample, model, theta)
-        vhat = gmm_variance(jhat, hhat, xi)
-    return GmmResult(
-        theta=theta,
-        objective_value=val,
-        jhat=jhat,
-        hhat=hhat,
-        vhat=vhat,
-        weight=xi,
-        trace={"n_evaluations": evals, "two_step": two_step},
-    )
+        root_j = _sqrt_weight(xi) @ jhat
+        if not np.isfinite(root_j).all():
+            raise SingularDesignError(f"J is not finite at theta={theta}")
+        s = np.linalg.svd(root_j, compute_uv=False)
+        check_condition(s[::-1] ** 2, SingularDesignError, "J' Xi J is singular")
+    trace = {"n_evaluations": evals, "two_step": two_step}
+    return GmmResult(theta=theta, objective_value=val, jhat=jhat, weight=xi, trace=trace)
 
 
 def gmm_bootstrap_estimator(

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from multiway import Dimensions, ModelError, load_sample, ratio_estimate
+from multiway import Dimensions, ModelError, UnsupportedError, load_sample, ratio_estimate
 from multiway.gmm import (
     MomentModel,
     OptimizerConfig,
@@ -24,6 +24,7 @@ from multiway.gmm import (
 from multiway.bootstrap import draw_weights
 from multiway.variance import vhat1
 from multiway.estimators import quantile_estimate, EcdfSpec
+from multiway.estimators import fit as estimators_fit
 
 from oracles import all_coords, vhat1_pairs
 
@@ -164,7 +165,8 @@ def test_fit_two_step_runs():
     res = gmm_fit(sample, model, two_step=True)
     assert res.trace["two_step"]
     assert abs(res.theta[0] + 0.7) < 0.5
-    assert res.vhat.shape == (1, 1)
+    v = gmm_variance(res.jhat, gmm_hhat(sample, model, res.theta), res.weight)
+    assert v.shape == (1, 1)
 
 
 # -- jhat / hhat / variance --------------------------------------------
@@ -260,10 +262,10 @@ def test_variance_identity_bread():
 def test_variance_mean_moment_equals_ratio_construction():
     rng = np.random.default_rng(15)
     sample = sample_from_values(rng.normal(size=36), (3, 3))
-    res = gmm_fit(sample, mean_moment())
+    res = estimators_fit("gmm", sample, model=mean_moment())
     ratio = ratio_estimate(sample)
     expected = vhat1(ratio.scores).matrix
-    np.testing.assert_allclose(res.vhat, expected, rtol=1e-8)
+    np.testing.assert_allclose(res.variance("v1").matrix, expected, rtol=1e-8)
 
 
 def test_variance_matches_composition_oracle():
@@ -346,12 +348,13 @@ def test_quantile_iv_two_parameters_nelder_mead():
     w = x1 * theta0[0] + x2 * theta0[1] + rng.normal(size=n)
     sample = sample_from_values(np.column_stack([w, x1, x2, x1, x2]), (30, 30))
     model = quantile_iv_moments(0.5, 0, [1, 2], [3, 4], bounds=[(-5, 5), (-5, 5)])
-    fit = gmm_fit(sample, model)
-    assert fit.jhat is None and fit.vhat is None
+    fit = estimators_fit("gmm", sample, model=model)
+    with pytest.raises(UnsupportedError, match="Jacobian"):
+        fit.variance("v1")
     assert np.all(np.abs(fit.theta - theta0) < 0.35)
     # moment norm at the optimum beats the norm at the truth's neighborhood scale
-    obj_true = gmm_objective(sample, model, fit.weight, theta0)
-    assert fit.objective_value <= obj_true + 1e-9
+    obj_true = gmm_objective(sample, model, WeightMatrix.identity(2), theta0)
+    assert fit.meta["objective_value"] <= obj_true + 1e-9
 
 
 def test_quantile_iv_validates_tau():
@@ -407,8 +410,8 @@ def test_probit_recovers_coefficients():
     ystar = beta[0] + beta[1] * x + rng.normal(size=n)
     y = (ystar > 0).astype(float)
     sample = sample_from_values(np.column_stack([y, x]), (20, 20))
-    res = gmm_fit(sample, probit_score_moments(0, 1))
-    se = np.sqrt(np.diag(res.vhat) / sample.dims.c_min)
+    res = estimators_fit("gmm", sample, model=probit_score_moments(0, 1))
+    se = np.sqrt(np.diag(res.variance("v1").matrix) / sample.dims.c_min)
     assert np.all(np.abs(res.theta - beta) < 3 * se)
     assert np.all(np.abs(res.theta - beta) < 0.5)
 

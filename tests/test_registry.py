@@ -23,13 +23,25 @@ from multiway import (
     vhat_cgm,
 )
 from multiway.estimators import fit
-from multiway.gmm import gmm_fit, probit_score_moments, quantile_iv_moments
+from multiway.gmm import (
+    gmm_fit,
+    gmm_hhat,
+    gmm_variance,
+    probit_score_moments,
+    quantile_iv_moments,
+)
 from multiway.simulation import CellSizeLaw, DgpSpec, generate
 from multiway.variance import estimate_variance
 
 OLS_SPEC = LinearModelSpec(0, (1,))
 QUANTILE_SPEC = EcdfSpec(1)
 PROBIT = probit_score_moments(0, 1)
+
+
+def gmm_sandwich(sample):
+    res = gmm_fit(sample, PROBIT)
+    return gmm_variance(res.jhat, gmm_hhat(sample, PROBIT, res.theta), res.weight)
+
 
 # estimator -> (fit options, direct estimate of theta, direct v1 variance matrix)
 CASES = {
@@ -56,7 +68,7 @@ CASES = {
     "gmm": (
         {"model": PROBIT},
         lambda s: gmm_fit(s, PROBIT).theta,
-        lambda s: gmm_fit(s, PROBIT).vhat,
+        gmm_sandwich,
     ),
 }
 WITH_VARIANCE = [k for k, case in CASES.items() if case[2] is not None]
