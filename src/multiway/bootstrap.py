@@ -20,6 +20,7 @@ import numpy as np
 from .data import CellSums, Dimensions
 from .errors import InsufficientReplicatesError, MultiwayError, ShapeError
 from .seeding import stream_rng
+from .variance import check_alpha
 
 __all__ = [
     "BootstrapReplicates",
@@ -43,8 +44,9 @@ QUANTILE_RULE = "ceil-order-statistic"
 def min_replicates(interval: str, alpha: float) -> int:
     """Fewest replicates that resolve the quantiles an interval reads:
     1/alpha for "symmetric-abs" (the 1 - alpha quantile) and 2/alpha for
-    "percentile" (the alpha/2 quantile)."""
-    return math.ceil({"symmetric-abs": 1.0, "percentile": 2.0}[interval] / alpha)
+    "percentile" (the alpha/2 quantile). An alpha outside (0, 1) is a
+    ConfigError."""
+    return math.ceil({"symmetric-abs": 1.0, "percentile": 2.0}[interval] / check_alpha(alpha))
 
 
 def _order_statistic(sorted_values: np.ndarray, q: float) -> float:

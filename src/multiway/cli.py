@@ -33,7 +33,7 @@ from .errors import (
 from .estimators import EcdfSpec, Fitted, LinearModelSpec, fit
 from .gmm import OptimizerConfig, probit_score_moments, quantile_iv_moments
 from .simulation import CellSizeLaw, DgpSpec, McConfig, generate, run_coverage
-from .variance import ADJUSTMENTS, sigma_subset, vhat1, vhat_cgm, wald_region
+from .variance import ADJUSTMENTS, check_alpha, sigma_subset, vhat1, vhat_cgm, wald_region
 
 # Unused here, but the benchmark's span tracer (perfbench/spans.py) replaces
 # these names in this module's namespace, so they must stay importable from it.
@@ -251,6 +251,7 @@ def _load_input(args):
 
 
 def cmd_estimate(args) -> int:
+    check_alpha(args.alpha)
     print(f"seed: {args.seed if args.seed is not None else 0}", file=sys.stderr)
     sample = _load_input(args)
     fitted = _fit(args, sample)
@@ -301,6 +302,7 @@ def cmd_estimate(args) -> int:
 
 
 def cmd_bootstrap(args) -> int:
+    check_alpha(args.alpha)
     need = min_replicates("percentile", args.alpha)
     if args.b < need:
         raise InsufficientReplicatesError(

@@ -29,7 +29,7 @@ from .errors import ConfigError, MultiwayError, UnsupportedError
 from .estimators import EcdfSpec, fit
 from .gmm import probit_score_moments
 from .seeding import TAG_BOOT, TAG_DATA, derive_seed
-from .variance import ADJUSTMENTS, vhat1, wald_region
+from .variance import ADJUSTMENTS, check_alpha, vhat1, wald_region
 
 # Unused here, but the benchmark's span tracer (perfbench/spans.py) replaces
 # these names in this module's namespace, so they must stay importable from it.
@@ -308,8 +308,7 @@ class McConfig:
     def __post_init__(self):
         if self.replications < 1:
             raise ConfigError("replications: must be >= 1")
-        if not 0.0 < self.alpha < 1.0:
-            raise ConfigError("alpha: must be in (0, 1)")
+        check_alpha(self.alpha)
         object.__setattr__(self, "methods", tuple(self.methods))
         for m in self.methods:
             if m not in METHODS:

@@ -28,6 +28,7 @@ __all__ = [
     "CenteredScores",
     "VarianceEstimate",
     "WaldRegion",
+    "check_alpha",
     "estimate_variance",
     "sigma_subset",
     "vhat1",
@@ -50,6 +51,14 @@ def check_condition(evals: np.ndarray, error: type[Exception], what: str) -> Non
     """
     if evals[0] <= 0 or evals[-1] > CONDITION_CAP * evals[0]:
         raise error(f"{what} (eigenvalues in [{evals[0]:.3g}, {evals[-1]:.3g}])")
+
+
+def check_alpha(alpha: float) -> float:
+    """``alpha`` if it is a level in the open interval (0, 1); otherwise a
+    ConfigError naming ``alpha`` (NaN is refused too)."""
+    if not 0.0 < alpha < 1.0:
+        raise ConfigError(f"alpha: must be in (0, 1), got {alpha}")
+    return alpha
 
 
 class CenteredScores(CellSums):
@@ -263,8 +272,7 @@ def wald_region(
     indefinite or its condition number exceeds ``CONDITION_CAP`` (expected
     for vhat2 / vhat_cgm on degenerate data).
     """
-    if not 0.0 < alpha < 1.0:
-        raise ValueError(f"alpha must be in (0, 1), got {alpha}")
+    check_alpha(alpha)
     center = np.atleast_1d(np.asarray(theta_hat, dtype=np.float64))
     matrix = v_hat.matrix if isinstance(v_hat, VarianceEstimate) else np.asarray(v_hat)
     matrix = np.atleast_2d(matrix)

@@ -110,3 +110,20 @@ def test_malformed_config_exits_2_naming_the_field(
     message = capsys.readouterr().err.splitlines()[-1]
     assert message.startswith("error: ")
     assert field in message
+
+
+@pytest.mark.parametrize("alpha", ["0", "1", "1.5", "-0.1", "nan"])
+@pytest.mark.parametrize("command", ["estimate", "bootstrap"])
+def test_alpha_outside_the_unit_interval_exits_2_writing_nothing(
+    command, alpha, probit_csv, tmp_path, capsys
+):
+    argv = [command, "--input", probit_csv, "--dims", "4,4", "--alpha", alpha,
+            "--out", tmp_path / "out"]
+    if command == "bootstrap":
+        argv += ["--b", "200", "--seed", "1"]
+    capsys.readouterr()
+    assert main([str(a) for a in argv]) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.splitlines()[-1].startswith("error: alpha:")
+    assert list(tmp_path.iterdir()) == []
