@@ -302,7 +302,6 @@ def cmd_estimate(args) -> int:
 
 
 def cmd_bootstrap(args) -> int:
-    check_alpha(args.alpha)
     need = min_replicates("percentile", args.alpha)
     if args.b < need:
         raise InsufficientReplicatesError(

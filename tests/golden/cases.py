@@ -82,7 +82,7 @@ SIMULATIONS = {
     "linked": (["--dgp", "additive", "--cell-sizes", "poisson:2:linked", "--seed", "4"], "8,7"),
 }
 
-# estimator name -> (input, estimator flags); "gmm-*" names read CONFIGS
+# estimator name -> (input, estimator flags); "{config}" is the config directory
 ESTIMATORS = {
     "mean": ("additive", ["--estimator", "mean"]),
     "ratio": ("additive", ["--estimator", "ratio"]),
@@ -90,34 +90,24 @@ ESTIMATORS = {
     "mean3": ("additive3", ["--estimator", "mean"]),
     "ols": ("probit", ["--estimator", "ols", "--outcome", "1", "--regressors", "0"]),
     "quantile": ("additive", ["--estimator", "quantile", "--tau", "0.3"]),
-    "gmm-probit": ("probit", ["--estimator", "gmm", "--model-config", "probit"]),
+    "gmm-probit": ("probit", ["--estimator", "gmm", "--model-config", "{config}/probit.json"]),
     "gmm-probit-two-step": (
-        "probit", ["--estimator", "gmm", "--model-config", "probit-two-step"]
+        "probit", ["--estimator", "gmm", "--model-config", "{config}/probit-two-step.json"]
     ),
-    "gmm-quantile-iv": ("probit", ["--estimator", "gmm", "--model-config", "quantile-iv"]),
+    "gmm-quantile-iv": (
+        "probit", ["--estimator", "gmm", "--model-config", "{config}/quantile-iv.json"]
+    ),
 }
 # (estimator, adjustment) pairs that `estimate` runs
 ESTIMATES = [
     (name, adjustment)
-    for name in ESTIMATORS
-    if name not in ("ratio-linked", "mean3", "gmm-probit-two-step", "gmm-quantile-iv")
+    for name in ("mean", "ratio", "ols", "quantile", "gmm-probit")
     for adjustment in ("unit", "cgm")
 ] + [("ratio-linked", "unit"), ("mean3", "unit"), ("gmm-probit-two-step", "unit")]
 # `estimate --variance` where it is not v1,v2,cgm (v2 of the probit
 # pseudo-score is indefinite on this sample; quantiles have no variance)
-VARIANCES = {
-    "quantile": "", "gmm-probit": "v1,cgm", "gmm-probit-two-step": "v1,cgm", "gmm-quantile-iv": ""
-}
+VARIANCES = {"quantile": "", "gmm-probit": "v1,cgm", "gmm-probit-two-step": "v1,cgm"}
 BOOTSTRAP_B = 49
-
-
-def _flags(flags: list[str], config_dir: Path) -> list[str]:
-    """``flags`` with each ``--model-config`` name replaced by its file."""
-    out = list(flags)
-    for i, flag in enumerate(out[:-1]):
-        if flag == "--model-config":
-            out[i + 1] = str(config_dir / f"{out[i + 1]}.json")
-    return out
 
 
 def cases(out_dir: Path, config_dir: Path) -> list[tuple[str, list[str]]]:
@@ -131,7 +121,7 @@ def cases(out_dir: Path, config_dir: Path) -> list[tuple[str, list[str]]]:
         source, flags = ESTIMATORS[name]
         dims = SIMULATIONS[source][1]
         return ["--input", str(out_dir / f"sim-{source}.csv"), "--dims", dims,
-                *_flags(flags, config_dir)]
+                *(flag.format(config=config_dir) for flag in flags)]
 
     for name, adjustment in ESTIMATES:
         case = f"estimate-{name}-{adjustment}"
