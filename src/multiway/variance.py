@@ -43,14 +43,16 @@ ADJUSTMENTS = ("unit", "cgm")
 CONDITION_CAP = 1e12
 
 
-def check_condition(evals: np.ndarray, error: type[Exception], what: str) -> None:
-    """Raise ``error`` when the ascending eigenvalues ``evals`` of a
-    symmetric matrix include one <= 0 or spread over ``CONDITION_CAP``.
+def check_condition(spectrum: np.ndarray, error: type[Exception], what: str) -> None:
+    """Raise ``error`` when an ascending ``spectrum`` (the eigenvalues of a
+    symmetric matrix, or the singular values of a square one) has a value
+    <= 0 or spreads over ``CONDITION_CAP``; a NaN end fails the check too.
 
-    The message is ``what`` followed by the eigenvalue range.
+    The message is ``what`` followed by the spectrum's range.
     """
-    if evals[0] <= 0 or evals[-1] > CONDITION_CAP * evals[0]:
-        raise error(f"{what} (eigenvalues in [{evals[0]:.3g}, {evals[-1]:.3g}])")
+    lo, hi = spectrum[0], spectrum[-1]
+    if not (lo > 0 and hi <= CONDITION_CAP * lo):
+        raise error(f"{what} (spectrum in [{lo:.3g}, {hi:.3g}])")
 
 
 def check_alpha(alpha: float) -> float:

@@ -4,6 +4,7 @@ import json
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from multiway.cli import main
 from multiway.dataio import read_dataset_csv, read_dataset_json, write_json
@@ -356,3 +357,33 @@ def test_mc_config_error_names_field(tmp_path, capsys):
 def test_seed_is_printed(tmp_path, capsys):
     simulate(tmp_path, seed=123)
     assert "seed: 123" in capsys.readouterr().err
+
+
+NON_FINITE = {
+    # one inf regressor: the Gram matrix has NaN eigenvalues
+    "ols-inf-regressor": (
+        "1,1,1.0,0.5\n1,2,2.0,inf\n2,1,3.0,1.5\n2,2,5.0,3.0\n",
+        ["--estimator", "ols", "--regressors", "1"],
+        "Gram matrix is singular",
+    ),
+    # one nan outcome: the variance has NaN eigenvalues
+    "ratio-nan-outcome": (
+        "1,1,1.0,0.5\n1,2,nan,1.0\n2,1,2.0,1.5\n2,2,4.0,3.0\n",
+        ["--estimator", "ratio"],
+        "variance estimate is singular",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(NON_FINITE))
+def test_non_finite_input_exits_4_writing_nothing(case, tmp_path, capsys):
+    rows, flags, matrix = NON_FINITE[case]
+    data = tmp_path / "d.csv"
+    data.write_text("dim1,dim2,y1,y2\n" + rows)
+    capsys.readouterr()
+    assert run(["estimate", "--input", data, "--dims", "2,2", *flags,
+                "--out", tmp_path / "e.json"]) == 4
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.splitlines()[-1].startswith(f"error: {matrix}")
+    assert [p.name for p in tmp_path.iterdir()] == ["d.csv"]
