@@ -39,6 +39,7 @@ from .errors import (
 from .gmm import (
     MomentModel,
     OptimizerConfig,
+    WeightMatrix,
     cell_moment_sums,
     gmm_bootstrap_estimator,
     gmm_fit,
@@ -204,7 +205,8 @@ def ols_fit(sample: ClusteredSample, spec: LinearModelSpec) -> Fitted:
 
     The scores are the per-cell sums of X u-hat (uncentered; they sum to
     zero by the normal equations), which is exactly what the sandwich meat
-    consumes. ``meta['jhat']`` holds the bread J = (1/pi_c) sum X X'.
+    consumes. ``meta['jhat']`` holds J = (1/pi_c) sum X X', and the bread
+    is :func:`gmm_variance` of J with Xi = I: OLS is exactly identified GMM.
     """
     X, y = spec.design(sample.values)
     if sample.n_units == 0:
@@ -219,7 +221,7 @@ def ols_fit(sample: ClusteredSample, spec: LinearModelSpec) -> Fitted:
         "ols",
         theta,
         CenteredScores(sample.dims, scores),
-        partial(_ols_bread, jhat),
+        partial(gmm_variance, jhat, xi=WeightMatrix.identity(X.shape[1])),
         weighted_ols,
         OlsCellData(sample, X, y),
         {
@@ -231,18 +233,10 @@ def ols_fit(sample: ClusteredSample, spec: LinearModelSpec) -> Fitted:
     )
 
 
-def _ols_bread(jhat: np.ndarray, meat: np.ndarray) -> np.ndarray:
-    """J^-1 H J^-1, symmetrized."""
-    jinv_h = _solve_gram(jhat, meat)
-    v = _solve_gram(jhat, jinv_h.T).T
-    return 0.5 * (v + v.T)
-
-
 def ols_sandwich(result: Fitted, kind: str = "v1", adjustment: str = "unit") -> VarianceEstimate:
-    """V = J^-1 H J^-1 with H the multiway meat built from the OLS scores.
-
-    ``kind`` selects the meat estimator: "v1" (the default, positive by
-    construction), "v2" or "cgm" for experiments.
+    """V = J^-1 H J^-1 (:func:`gmm_variance` of the square J) with H the
+    multiway meat built from the OLS scores. ``kind`` selects the meat
+    estimator: "v1" (the default, positive by construction), "v2" or "cgm".
     """
     if result.kind != "ols":
         raise ValueError("result does not come from ols_fit")

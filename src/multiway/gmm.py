@@ -220,13 +220,20 @@ def gmm_hhat(sample: ClusteredSample, model: MomentModel, theta) -> np.ndarray:
 
 
 def gmm_variance(jhat: np.ndarray, hhat: np.ndarray, xi: WeightMatrix) -> np.ndarray:
-    """(J' Xi J)^-1 J' Xi H Xi J (J' Xi J)^-1, symmetrized."""
-    jxi = jhat.T @ xi.xi
-    bread = jxi @ jhat
-    evals = np.linalg.eigvalsh(0.5 * (bread + bread.T))
-    check_condition(evals, SingularDesignError, "J' Xi J is singular")
-    half = np.linalg.solve(bread, jxi)
-    v = half @ hhat @ half.T
+    """The sandwich (J' Xi J)^-1 J' Xi H Xi J (J' Xi J)^-1, symmetrized.
+
+    An over-identified J (L > p) is first reduced to the square pair
+    (J' Xi J, J' Xi H Xi J). A square J, where Xi cancels, must be finite
+    with singular values that pass ``check_condition``; V = J^-1 H J^-T
+    then comes from two solves with J, which do not square its condition."""
+    if jhat.shape[0] > jhat.shape[1]:
+        jxi = jhat.T @ xi.xi
+        jhat, hhat = jxi @ jhat, jxi @ hhat @ jxi.T
+    if not np.isfinite(jhat).all():
+        raise SingularDesignError("J is not finite")
+    s = np.linalg.svd(jhat, compute_uv=False)
+    check_condition(s[::-1], SingularDesignError, "J is singular")
+    v = np.linalg.solve(jhat, np.linalg.solve(jhat, hhat).T).T
     return 0.5 * (v + v.T)
 
 

@@ -44,12 +44,10 @@ CONDITION_CAP = 1e12
 
 
 def check_condition(spectrum: np.ndarray, error: type[Exception], what: str) -> None:
-    """Raise ``error`` when an ascending ``spectrum`` (the eigenvalues of a
-    symmetric matrix, or the singular values of a square one) has a value
-    <= 0 or spreads over ``CONDITION_CAP``; a NaN end fails the check too.
-
-    The message is ``what`` followed by the spectrum's range.
-    """
+    """Raise ``error`` unless the ascending ``spectrum`` (the eigenvalues of
+    a symmetric matrix or the singular values of a square one) is positive,
+    spreads at most ``CONDITION_CAP`` and has no NaN end; the message is
+    ``what`` followed by the spectrum's range."""
     lo, hi = spectrum[0], spectrum[-1]
     if not (lo > 0 and hi <= CONDITION_CAP * lo):
         raise error(f"{what} (spectrum in [{lo:.3g}, {hi:.3g}])")
