@@ -194,28 +194,27 @@ class LinearModelSpec:
         return np.hstack(cols), values[:, self.outcome_index]
 
 
-def _solve_gram(gram: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+def _solve_gram(gram: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The solution and the checked ascending eigenvalues of the Gram matrix."""
     evals = np.linalg.eigvalsh(0.5 * (gram + gram.T))
     check_condition(evals, SingularDesignError, "Gram matrix is singular")
-    return np.linalg.solve(gram, rhs)
+    return np.linalg.solve(gram, rhs), evals
 
 
 def ols_fit(sample: ClusteredSample, spec: LinearModelSpec) -> Fitted:
     """Pooled least squares over all units.
 
     The scores are the per-cell sums of X u-hat (uncentered; they sum to
-    zero by the normal equations), which is exactly what the sandwich meat
-    consumes. ``meta['jhat']`` holds J = (1/pi_c) sum X X', and the bread
-    is :func:`gmm_variance` of J with Xi = I: OLS is exactly identified GMM.
+    zero by the normal equations), the sandwich meat. ``meta['jhat']`` holds
+    J = (1/pi_c) sum X X', whose bread is :func:`gmm_variance` with Xi = I.
     """
     X, y = spec.design(sample.values)
     if sample.n_units == 0:
         raise EmptySampleError("OLS needs at least one unit")
     gram = X.T @ X
-    theta = _solve_gram(gram, X.T @ y)
+    theta, evals = _solve_gram(gram, X.T @ y)
     resid = y - X @ theta
     scores = sum_by_cell(sample, X * resid[:, None])
-    evals = np.linalg.eigvalsh(gram)
     jhat = gram / sample.dims.pi_c
     return Fitted(
         "ols",
@@ -276,7 +275,7 @@ def weighted_ols(data: OlsCellData, weights: PigeonholeWeights) -> np.ndarray:
     w = weights.cell_weights().astype(np.float64)
     gram = np.einsum("j,jpq->pq", w, data.xtx)
     rhs = w @ data.xty
-    return _solve_gram(gram, rhs)
+    return _solve_gram(gram, rhs)[0]
 
 
 # ---------------------------------------------------------------------
