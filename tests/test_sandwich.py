@@ -60,7 +60,9 @@ def _mean_moment_jhat():
         bounds=np.array([[-10.0, 10.0]] * 2),
         jacobian=lambda v, t: np.broadcast_to(-np.eye(2), (v.shape[0], 2, 2)),
     )
-    return gmm_fit(sample, model).jhat
+    jhat = gmm_fit(sample, model).jhat
+    np.testing.assert_array_equal(jhat, -3.0 * np.eye(2))
+    return jhat
 
 
 def _nonsymmetric_jhat():
@@ -79,10 +81,6 @@ def test_square_j_sandwich_matches_the_inverse(make_j):
     xi = WeightMatrix(a.T @ a + np.eye(len(j)))
     for weight in (WeightMatrix.identity(len(j)), xi):
         np.testing.assert_allclose(gmm_variance(j, h, weight), expected, rtol=1e-12)
-
-
-def test_mean_moment_jhat_is_negative_definite():
-    np.testing.assert_array_equal(_mean_moment_jhat(), -3.0 * np.eye(2))
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
