@@ -18,7 +18,7 @@ from typing import Callable
 import numpy as np
 
 from .data import CellSums, Dimensions
-from .errors import InsufficientReplicatesError, MultiwayError, ShapeError
+from .errors import ConfigError, InsufficientReplicatesError, MultiwayError, ShapeError
 from .seeding import stream_rng
 from .variance import check_alpha
 
@@ -143,9 +143,10 @@ def run_bootstrap(
     :class:`MultiwayError`, ``LinAlgError``, ``FloatingPointError`` or
     ``RuntimeError``, or return non-finite values, are dropped and counted;
     more than 1% failures emits a warning. Any other exception propagates.
+    A ``b`` below 1 is a ConfigError naming ``b``.
     """
     if b < 1:
-        raise ValueError("need at least one replicate")
+        raise ConfigError(f"b: need at least one replicate, got {b}")
     dims: Dimensions = sample.dims
     theta_hat = np.atleast_1d(
         np.asarray(estimator(sample, PigeonholeWeights.identity(dims)), dtype=np.float64)

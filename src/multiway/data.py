@@ -258,7 +258,9 @@ def cell_subsample(sample: ClusteredSample, cells: np.ndarray) -> ClusteredSampl
     """The units of the cells where the (pi_c,) mask ``cells`` is True, same dims."""
     sizes = np.where(cells, sample.cell_sizes, 0)
     offsets = np.concatenate(([0], np.cumsum(sizes)))
-    return ClusteredSample(sample.dims, sample.values[cells[sample.unit_cell_ids]], offsets)
+    # take with the row indices copies the rows several times faster than a boolean mask
+    rows = np.flatnonzero(cells[sample.unit_cell_ids])
+    return ClusteredSample(sample.dims, sample.values.take(rows, axis=0), offsets)
 
 
 def sum_by_cell(sample: ClusteredSample, rows: np.ndarray) -> np.ndarray:

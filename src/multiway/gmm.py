@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -116,6 +117,11 @@ class WeightMatrix:
     def identity(cls, n_moments: int) -> WeightMatrix:
         return cls(np.eye(n_moments))
 
+    @cached_property
+    def root(self) -> np.ndarray:
+        """A with A'A = Xi (the transposed Cholesky factor), so |A m| = sqrt(m' Xi m)."""
+        return np.linalg.cholesky(self.xi).T
+
 
 @dataclass(frozen=True)
 class OptimizerConfig:
@@ -138,19 +144,35 @@ class GmmResult:
     trace: dict = field(default_factory=dict)
 
 
+def _unit_mean(rows: np.ndarray, unit_weights: np.ndarray | None, pi_c: int) -> np.ndarray:
+    """(1/pi_c) times the sum of the (weighted) per-unit rows, added in unit order.
+
+    ``np.add.accumulate`` adds one row after another whatever the memory
+    layout of ``rows``, where ``sum`` adds a contiguous axis pairwise; an
+    empty ``rows`` sums to zeros, as with ``sum``.
+    """
+    if unit_weights is not None:
+        rows = rows * unit_weights.reshape((-1,) + (1,) * (rows.ndim - 1))
+    if rows.shape[0] == 0:
+        return np.zeros(rows.shape[1:])
+    return np.add.accumulate(rows, axis=0)[-1] / pi_c
+
+
 def moment_bar(
     sample: ClusteredSample,
     model: MomentModel,
     theta: np.ndarray,
     unit_weights: np.ndarray | None = None,
 ) -> np.ndarray:
-    """m_bar(theta) = (1/pi_c) sum over cells of the (weighted) moment sums."""
+    """m_bar(theta) = (1/pi_c) sum over cells of the (weighted) moment sums.
+
+    The unit rows are added one after another in unit order, for every
+    moment layout, so a unit whose weight is 0 adds an exact zero: dropping
+    it (as the bootstrap hook does) leaves m_bar bit for bit the same.
+    """
     if sample.n_units == 0:
         raise EmptySampleError("GMM needs at least one unit")
-    m = model.moments(sample.values, theta)
-    if unit_weights is not None:
-        m = m * unit_weights[:, None]
-    return m.sum(axis=0) / sample.dims.pi_c
+    return _unit_mean(model.moments(sample.values, theta), unit_weights, sample.dims.pi_c)
 
 
 def cell_moment_sums(
@@ -188,12 +210,7 @@ def gmm_jhat(
     """
     theta = np.asarray(theta, dtype=np.float64)
     if model.jacobian is not None:
-        d = np.asarray(model.jacobian(sample.values, theta), dtype=np.float64)
-        if d.shape != (sample.n_units, model.n_moments, model.n_params):
-            raise ModelError(f"jacobian returned {d.shape}")
-        if unit_weights is not None:
-            d = d * unit_weights[:, None, None]
-        return d.sum(axis=0) / sample.dims.pi_c
+        return _unit_mean(_jacobian_rows(sample, model, theta), unit_weights, sample.dims.pi_c)
     if not model.smooth:
         raise ModelError(
             "model has no analytic Jacobian and finite differences are "
@@ -210,6 +227,14 @@ def gmm_jhat(
             - moment_bar(sample, model, dn, unit_weights)
         ) / (2 * h)
     return out
+
+
+def _jacobian_rows(sample: ClusteredSample, model: MomentModel, theta) -> np.ndarray:
+    """The analytic per-unit moment derivatives (n, L, p) at theta."""
+    d = np.asarray(model.jacobian(sample.values, theta), dtype=np.float64)
+    if d.shape != (sample.n_units, model.n_moments, model.n_params):
+        raise ModelError(f"jacobian returned {d.shape}")
+    return d
 
 
 def gmm_hhat(sample: ClusteredSample, model: MomentModel, theta) -> np.ndarray:
@@ -252,11 +277,6 @@ class _Budget:
         return self.used <= self.limit
 
 
-def _sqrt_weight(xi: WeightMatrix) -> np.ndarray:
-    # A with A'A = Xi, so |A m| = sqrt(m' Xi m)
-    return np.linalg.cholesky(xi.xi).T
-
-
 def _gauss_newton(residual, jac_residual, start, bounds, tol, budget):
     """Projected Gauss-Newton with halving backtracking.
 
@@ -274,7 +294,10 @@ def _gauss_newton(residual, jac_residual, start, bounds, tol, budget):
     search (or the skipped Gauss-Newton step would have been singular),
     the point is now reported as converged instead of not.
     """
-    theta = np.clip(start, bounds[:, 0], bounds[:, 1])
+    lo, hi = bounds[:, 0], bounds[:, 1]
+    n = len(start)
+    eye = np.eye(n)
+    theta = np.clip(start, lo, hi)
     if not budget.spend():
         return theta, np.inf, False
     r = residual(theta)
@@ -284,15 +307,15 @@ def _gauss_newton(residual, jac_residual, start, bounds, tol, budget):
             return theta, math.sqrt(2 * f), True
         jr = jac_residual(theta)
         jtj = jr.T @ jr
-        ridge = 1e-12 * max(np.trace(jtj) / max(len(theta), 1), 1e-300)
+        ridge = 1e-12 * max(np.trace(jtj) / max(n, 1), 1e-300)
         try:
-            step = -np.linalg.solve(jtj + ridge * np.eye(len(theta)), jr.T @ r)
+            step = -np.linalg.solve(jtj + ridge * eye, jr.T @ r)
         except np.linalg.LinAlgError:
             return theta, math.sqrt(2 * f), False
         t, improved = 1.0, False
         cand, rc, fc = theta, r, f
         for _ in range(40):
-            cand = np.clip(theta + t * step, bounds[:, 0], bounds[:, 1])
+            cand = np.clip(theta + t * step, lo, hi)
             if not budget.spend():
                 return theta, math.sqrt(2 * f), False
             rc = residual(cand)
@@ -339,20 +362,44 @@ def _starts(model: MomentModel, config: OptimizerConfig) -> list[np.ndarray]:
     return out
 
 
-def _minimize(sample, model, xi, config, unit_weights=None, starts=None):
-    sqrt_xi = _sqrt_weight(xi)
+def _warm_rows(sample: ClusteredSample, model: MomentModel, theta: np.ndarray):
+    """(theta, per-unit moments, per-unit Jacobians or None) for ``_minimize``."""
+    if sample.n_units == 0:
+        raise EmptySampleError("GMM needs at least one unit")
+    m = model.moments(sample.values, theta)
+    return theta, m, None if model.jacobian is None else _jacobian_rows(sample, model, theta)
+
+
+def _minimize(sample, model, xi, config, unit_weights=None, starts=None, warm=None):
+    """Minimize the weighted moment norm; returns (theta, value, evaluations).
+
+    ``warm``, from ``_warm_rows`` on ``sample``, holds the per-unit moment
+    and Jacobian rows at one theta: wherever Gauss-Newton evaluates that
+    theta it weights and sums those rows instead of calling the model,
+    with the same bits.
+    """
     budget = _Budget(config.max_evals)
 
     def value(theta):
         return gmm_objective(sample, model, xi, theta, unit_weights)
 
     if model.smooth:
+        root, pi_c = xi.root, sample.dims.pi_c
+        at, m_rows, d_rows = warm or (None, None, None)
+        warm_key = None if at is None else (at.dtype, at.tobytes())
+
+        def at_warm(theta):
+            return warm_key is not None and (theta.dtype, theta.tobytes()) == warm_key
 
         def residual(theta):
-            return sqrt_xi @ moment_bar(sample, model, theta, unit_weights)
+            if at_warm(theta):
+                return root @ _unit_mean(m_rows, unit_weights, pi_c)
+            return root @ moment_bar(sample, model, theta, unit_weights)
 
         def jac_residual(theta):
-            return sqrt_xi @ gmm_jhat(sample, model, theta, unit_weights)
+            if d_rows is not None and at_warm(theta):
+                return root @ _unit_mean(d_rows, unit_weights, pi_c)
+            return root @ gmm_jhat(sample, model, theta, unit_weights)
 
         best = (None, np.inf, False)
         for start in starts or _starts(model, config):
@@ -443,7 +490,7 @@ def gmm_fit(
     jhat = None
     if model.jacobian is not None or model.smooth:
         jhat = gmm_jhat(sample, model, theta)
-        root_j = _sqrt_weight(xi) @ jhat
+        root_j = xi.root @ jhat
         if not np.isfinite(root_j).all():
             raise SingularDesignError(f"J is not finite at theta={theta}")
         s = np.linalg.svd(root_j, compute_uv=False)
@@ -467,33 +514,52 @@ def gmm_bootstrap_estimator(
     Each replicate re-optimizes on the units of the cells with W_j != 0
     only (about 60% of the cells of a 2-way design draw W_j = 0), keeping
     ``dims`` so that m_bar still divides by pi_c. The units dropped would
-    add exact zeros ``0 * m`` to the weighted sums, so m_bar and J_hat
-    keep their full-sample bits wherever numpy adds the unit rows in
-    order, as it does for a C-ordered (n, L >= 2) array such as the probit
-    score's; theta is then the same bit for bit. Other layouts (one
-    moment, or the column-ordered quantile-IV moments) are summed pairwise
-    and may move in the last bit; the grid and Nelder-Mead theta, chosen
-    by comparing piecewise-constant objective levels, change only if two
-    levels tie to within that bit. When no unit has a nonzero weight the
-    full sample is used, and for identity weights the sample itself.
+    add exact zeros ``0 * m`` to the weighted sums, which ``moment_bar``
+    and ``gmm_jhat`` add in unit order, so both keep their full-sample
+    bits for every moment layout and theta is the same bit for bit. When
+    no unit has a nonzero weight the full sample is used, and for
+    identity weights the sample itself.
 
-    Cost: from the warm start a probit replicate takes about four moment
-    evaluations and three Jacobians (30x30: 3.9 and 3.0 per replicate),
-    because Gauss-Newton returns once the objective reaches its floor,
-    with no last Jacobian or line search, and each Jacobian at an accepted
-    step reuses the link values of the moment evaluation just before it.
+    For a smooth model with a ``warm_start``, the per-unit moment and
+    Jacobian rows at the warm start are computed once, on the first
+    sample the hook sees, and kept while it sees the same sample object;
+    each replicate weights and sums the rows of its units for its first
+    residual and Jacobian instead of calling the model.
+
+    Cost: from the warm start a probit replicate takes about three moment
+    evaluations and two Jacobians (30x30: 2.9 and 2.0 per replicate),
+    because its first ones come from the warm-start rows, Gauss-Newton
+    returns once the objective reaches its floor, with no last Jacobian or
+    line search, and each Jacobian at an accepted step reuses the link
+    values of the moment evaluation just before it.
     """
     xi = xi or WeightMatrix.identity(model.n_moments)
     config = config or OptimizerConfig()
     starts = None if warm_start is None else [np.asarray(warm_start, dtype=np.float64)]
+    # Gauss-Newton's first point, where the warm-start rows are taken
+    anchor = None
+    if starts is not None and model.smooth:
+        anchor = np.clip(starts[0], model.bounds[:, 0], model.bounds[:, 1])
+    full = None  # (sample, its _warm_rows at anchor), replaced whole
 
     def estimator(sample: ClusteredSample, weights: PigeonholeWeights) -> np.ndarray:
+        nonlocal full
         w = weights.cell_weights()
         uw = w[sample.unit_cell_ids].astype(np.float64)
-        kept = uw != 0
-        if 0 < np.count_nonzero(kept) < sample.n_units:
+        warm = None
+        if anchor is not None:
+            hit = full
+            if hit is None or hit[0] is not sample:
+                hit = full = (sample, _warm_rows(sample, model, anchor))
+            warm = hit[1]
+        kept = np.flatnonzero(uw)
+        if 0 < kept.size < sample.n_units:
             sample, uw = cell_subsample(sample, w != 0), uw[kept]
-        theta, _, _ = _minimize(sample, model, xi, config, uw, starts)
+            if warm is not None:
+                at, m_rows, d_rows = warm
+                d_rows = None if d_rows is None else d_rows.take(kept, axis=0)
+                warm = (at, m_rows.take(kept, axis=0), d_rows)
+        theta, _, _ = _minimize(sample, model, xi, config, uw, starts, warm)
         return theta
 
     return estimator
@@ -556,47 +622,59 @@ def probit_score_moments(
     the moment norm is the probit pseudo-MLE, which ignores within- and
     cross-cell correlation (the multiway sandwich puts it back).
 
-    The last (x, eta, lam) is kept, keyed on the ``values`` array itself
-    and the dtype and bytes of theta, so the Jacobian at a point whose
-    moments were just evaluated (every accepted Gauss-Newton step) reuses
-    the ``log_ndtr`` work. The entry is one tuple, read once and replaced
-    whole, so threads sharing the model never see a torn entry; ``values``
-    must not be modified in place between calls.
+    Two one-tuple caches, each keyed on the ``values`` array itself, read
+    once and replaced whole, so threads sharing the model never see a torn
+    entry; ``values`` must not be modified in place between calls:
+
+    - the per-unit design of the last sample (the column and binary checks
+      passed, the sign 2Y - 1, X, the rows (1, X) and their outer products),
+      built once per sample rather than once per evaluation;
+    - the last (eta, lam), also keyed on the dtype and bytes of theta, so
+      the Jacobian at a point whose moments were just evaluated (every
+      accepted Gauss-Newton step) reuses the ``log_ndtr`` work.
     """
     if bounds is None:
         bounds = np.tile([-5.0, 5.0], (2, 1))
-    last = None
+    design = last = None
 
-    def parts(values, theta):
+    def unit_design(values):
+        nonlocal design
+        hit = design
+        if hit is not None and hit[0] is values:
+            return hit[1]
+        check_columns(values.shape[1], outcome_index=(outcome_index,), x_index=(x_index,))
+        y = values[:, outcome_index]
+        if not np.all((y == 0) | (y == 1)):
+            raise ModelError("probit outcome must be binary in {0, 1}")
+        x = np.ascontiguousarray(values[:, x_index])
+        xx = np.empty((x.shape[0], 2, 2))
+        xx[:, 0, 0] = 1.0
+        xx[:, 0, 1] = xx[:, 1, 0] = x
+        xx[:, 1, 1] = x * x
+        out = (2.0 * y - 1.0, x, np.column_stack([np.ones_like(x), x]), xx)
+        design = (values, out)
+        return out
+
+    def link(values, theta):
         nonlocal last
         theta = np.asarray(theta)
         key = (theta.dtype, theta.tobytes())
         hit = last
         if hit is not None and hit[0] is values and hit[1] == key:
             return hit[2]
-        check_columns(values.shape[1], outcome_index=(outcome_index,), x_index=(x_index,))
-        y = values[:, outcome_index]
-        if not np.all((y == 0) | (y == 1)):
-            raise ModelError("probit outcome must be binary in {0, 1}")
-        x = values[:, x_index]
-        sign = 2.0 * y - 1.0
+        sign, x, _, _ = unit_design(values)
         eta = theta[0] + theta[1] * x
         lam = sign * _probit_lam(sign * eta)
-        last = (values, key, (x, eta, lam))
-        return x, eta, lam
+        last = (values, key, (eta, lam))
+        return eta, lam
 
     def fn(values, theta):
-        x, _, lam = parts(values, theta)
-        return lam[:, None] * np.column_stack([np.ones_like(x), x])
+        _, lam = link(values, theta)
+        return lam[:, None] * unit_design(values)[2]
 
     def jacobian(values, theta):
-        x, eta, lam = parts(values, theta)
-        scale = -lam * (eta + lam)
-        xx = np.empty((x.shape[0], 2, 2))
-        xx[:, 0, 0] = 1.0
-        xx[:, 0, 1] = xx[:, 1, 0] = x
-        xx[:, 1, 1] = x * x
-        return scale[:, None, None] * xx
+        eta, lam = link(values, theta)
+        return (-lam * (eta + lam))[:, None, None] * unit_design(values)[3]
 
     return MomentModel(
         fn=fn, n_params=2, n_moments=2, bounds=bounds, jacobian=jacobian, smooth=True

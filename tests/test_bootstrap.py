@@ -5,6 +5,7 @@ import pytest
 
 from multiway import (
     CellSums,
+    ConfigError,
     Dimensions,
     InsufficientReplicatesError,
     PigeonholeWeights,
@@ -100,6 +101,13 @@ def test_run_bootstrap_constant_estimator():
     assert np.all(reps.thetas == 4.25)
     assert reps.theta_hat.tolist() == [4.25]
     assert reps.n_failed == 0
+
+
+@pytest.mark.parametrize("b", [0, -3])
+def test_run_bootstrap_refuses_fewer_than_one_replicate(b):
+    sums = CellSums(Dimensions((3, 3)), np.ones((9, 1)))
+    with pytest.raises(ConfigError, match=rf"^b: need at least one replicate, got {b}$"):
+        run_bootstrap(lambda s, w: np.array([1.0]), sums, b=b, seed=0)
 
 
 def mean_est(s, w):

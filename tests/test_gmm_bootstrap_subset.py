@@ -13,6 +13,7 @@ from multiway import ClusteredSample, Dimensions, PigeonholeWeights
 from multiway.bootstrap import draw_weights
 from multiway.data import cell_subsample, sample_from_cell_ids
 from multiway.gmm import (
+    MomentModel,
     OptimizerConfig,
     WeightMatrix,
     gmm_bootstrap_estimator,
@@ -112,12 +113,25 @@ def test_replicate_minimizes_over_nonzero_weight_units(minimized_samples):
     np.testing.assert_array_equal(sub.values, sample.values[w[sample.unit_cell_ids] != 0])
 
 
-def test_probit_sums_bit_identical_on_subset():
-    # numpy adds the rows of the C-ordered (n, 2) probit moments in unit
-    # order, so dropping exact zero terms leaves m_bar and J_hat unchanged
-    model = probit_score_moments(5, 1)
+SUM_MODELS = {
+    # C-ordered (n, 2) moments with an analytic Jacobian
+    "probit": (probit_score_moments(5, 1), [0.2, 0.7]),
+    # one moment, and two column-ordered ones (values[:, z] is F-ordered)
+    "quantile_iv_one_moment": (quantile_iv_moments(0.5, 0, [1], [3]), [0.9]),
+    "quantile_iv_two_moments": (
+        quantile_iv_moments(0.5, 0, [1, 2], [3, 4]),
+        [0.9, -0.4],
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SUM_MODELS))
+def test_moment_sums_bit_identical_on_subset(name):
+    # m_bar and J_hat add the unit rows in unit order whatever their
+    # layout, so dropping exact zero terms leaves them unchanged
+    model, theta = SUM_MODELS[name]
+    theta = np.array(theta)
     sample = _sample((20, 20), 3.0, seed=6)
-    theta = np.array([0.2, 0.7])
     for b in range(N_DRAWS):
         w = draw_weights(sample.dims, stream_rng(13, b)).cell_weights()
         uw = w[sample.unit_cell_ids].astype(np.float64)
@@ -126,11 +140,43 @@ def test_probit_sums_bit_identical_on_subset():
         assert (
             moment_bar(sub, model, theta, kept).tobytes()
             == moment_bar(sample, model, theta, uw).tobytes()
-        )
-        assert (
-            gmm_jhat(sub, model, theta, kept).tobytes()
-            == gmm_jhat(sample, model, theta, uw).tobytes()
-        )
+        ), b
+        if model.jacobian is not None:
+            assert (
+                gmm_jhat(sub, model, theta, kept).tobytes()
+                == gmm_jhat(sample, model, theta, uw).tobytes()
+            ), b
+
+
+def test_replicate_takes_first_residual_and_jacobian_from_warm_rows():
+    """The model is not called at the warm start on a replicate's units:
+    the rows taken there on the full sample are weighted and summed."""
+    calls = []
+    probit = probit_score_moments(5, 1)
+
+    def spy(fn):
+        def wrapper(values, theta):
+            calls.append(np.asarray(theta).tobytes())
+            return fn(values, theta)
+
+        return wrapper
+
+    model = MomentModel(
+        fn=spy(probit.fn), n_params=2, n_moments=2, bounds=probit.bounds,
+        jacobian=spy(probit.jacobian),
+    )
+    sample = _sample((20, 20), 3.0, seed=9)
+    warm = gmm_fit(sample, probit).theta
+    hook = gmm_bootstrap_estimator(model, warm_start=warm)
+    # identity weights first, as run_bootstrap does
+    hook(sample, PigeonholeWeights.identity(sample.dims))
+    for b in range(5):
+        weights = draw_weights(sample.dims, stream_rng(17, b))
+        calls.clear()
+        theta = hook(sample, weights)
+        assert calls and warm.tobytes() not in calls, b
+        expected = _reference(sample, probit, OptimizerConfig(), weights, warm)
+        assert theta.tobytes() == expected.tobytes(), b
 
 
 def test_identity_weights_take_full_sample(minimized_samples):

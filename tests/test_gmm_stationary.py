@@ -277,6 +277,31 @@ def test_probit_cache_alternating_values_arrays():
     assert model.jacobian(c, theta).tobytes() == ref.jacobian(c, theta).tobytes()
 
 
+def test_probit_design_cache_matches_fresh_model():
+    """The per-sample design is rebuilt when the values array changes:
+    A, then B (same shape, other values), then A again each give a fresh
+    model's bytes, and a later non-binary outcome is still refused."""
+    model = probit_score_moments(0, 2)
+    a = _sample((6, 5), 3.0, 6).values
+    b = a.copy()
+    b[:, 2] = np.random.default_rng(8).normal(size=b.shape[0])
+    b[:, 0] = 1.0 - b[:, 0]
+    for values in (a, b, a):
+        for theta in (np.array([0.2, 0.7]), np.array([-0.1, 1.3])):
+            fresh = probit_score_moments(0, 2)
+            assert model.fn(values, theta).tobytes() == fresh.fn(values, theta).tobytes()
+            assert (
+                model.jacobian(values, theta).tobytes()
+                == fresh.jacobian(values, theta).tobytes()
+            )
+    bad = a.copy()
+    bad[3, 0] = 0.5
+    with pytest.raises(ModelError, match="binary"):
+        model.fn(bad, np.array([0.2, 0.7]))
+    with pytest.raises(ModelError, match="binary"):
+        model.jacobian(bad, np.array([0.2, 0.7]))
+
+
 def test_probit_cache_reruns_match():
     sample = _sample((12, 12), 3.0, 8)
     model = probit_score_moments(0, 2)
