@@ -2,8 +2,11 @@
 
 Every run prints its effective seed to stderr, and two runs with the
 same flags and seed produce byte-identical primary outputs regardless of
-the worker count. Exit codes: 0 success, 2 parse/config, 3 degenerate
-design, 4 singular variance, 5 convergence failure.
+the worker count. A run exits 0 on success; an error of the package
+exits with its ``exit_code`` from the one table in :mod:`multiway.errors`
+(2 input or config, 3 degenerate design, 4 singular variance or design,
+5 convergence failure), and an ``OSError`` on a named path exits 2. Any
+other exception is a bug and exits with its traceback.
 """
 
 from __future__ import annotations
@@ -21,17 +24,10 @@ import numpy as np
 from .bootstrap import min_replicates, percentile_ci, run_bootstrap, symmetric_abs_ci
 from .data import Dimensions
 from .dataio import SCHEMA_VERSION, read_dataset, write_dataset_csv, write_json
-from .errors import (
-    ConfigError,
-    ConvergenceError,
-    DegenerateDesignError,
-    InsufficientReplicatesError,
-    MultiwayError,
-    SingularDesignError,
-    SingularVarianceError,
-)
+from .errors import ConfigError, InsufficientReplicatesError, MultiwayError
 from .estimators import EcdfSpec, Fitted, LinearModelSpec, fit
 from .gmm import OptimizerConfig, probit_score_moments, quantile_iv_moments
+from .seeding import check_seed
 from .simulation import CellSizeLaw, DgpSpec, McConfig, generate, run_coverage
 from .variance import ADJUSTMENTS, check_alpha, sigma_subset, vhat1, vhat_cgm, wald_region
 
@@ -43,43 +39,44 @@ from .gmm import gmm_fit  # noqa: F401
 from .variance import vhat2  # noqa: F401
 
 EXIT_OK = 0
-EXIT_CONFIG = 2
-EXIT_DEGENERATE = 3
-EXIT_SINGULAR = 4
-EXIT_CONVERGENCE = 5
 
 WORKERS_ENV = "MULTIWAY_WORKERS"
 
 
-def _parse_ints(text: str) -> tuple[int, ...]:
+def _parse_list(text: str, kind: type, flag: str) -> tuple:
+    """The comma-separated ``kind`` values (int or float) of ``flag``'s ``text``."""
     try:
-        return tuple(int(v) for v in text.split(","))
+        return tuple(kind(v) for v in text.split(","))
     except ValueError:
-        raise ConfigError(f"expected comma-separated integers, got {text!r}") from None
-
-
-def _parse_floats(text: str) -> tuple[float, ...]:
-    try:
-        return tuple(float(v) for v in text.split(","))
-    except ValueError:
-        raise ConfigError(f"expected comma-separated numbers, got {text!r}") from None
+        what = "integers" if kind is int else "numbers"
+        raise ConfigError(f"{flag}: expected comma-separated {what}, got {text!r}") from None
 
 
 def _parse_cell_sizes(text: str) -> CellSizeLaw:
-    parts = text.split(":")
-    if parts[0] == "fixed" and len(parts) == 2:
-        return CellSizeLaw(kind="fixed", n=int(parts[1]))
-    if parts[0] == "poisson" and len(parts) in (2, 3):
-        linked = len(parts) == 3 and parts[2] == "linked"
-        return CellSizeLaw(kind="one_plus_poisson", mu=float(parts[1]), factor_linked=linked)
-    raise ConfigError(
-        f"cell sizes must be fixed:<n>, poisson:<mu> or poisson:<mu>:linked, got {text!r}"
-    )
+    kind, _, rest = text.partition(":")
+    number = rest.partition(":")[0]
+    try:
+        if kind == "fixed" and rest == number:
+            law = {"kind": "fixed", "n": int(number)}
+        elif kind == "poisson" and rest in (number, number + ":linked"):
+            linked = rest != number
+            law = {"kind": "one_plus_poisson", "mu": float(number), "factor_linked": linked}
+        else:
+            law = None
+    except ValueError:
+        law = None
+    if law is None:
+        raise ConfigError(
+            "--cell-sizes: expected fixed:<n>, poisson:<mu> or poisson:<mu>:linked, "
+            f"got {text!r}"
+        )
+    return CellSizeLaw(**law)
 
 
 def _effective_seed(seed: int | None) -> int:
     if seed is None:
         seed = int(np.random.SeedSequence().entropy % (2**63))
+    check_seed(seed)
     print(f"seed: {seed}", file=sys.stderr)
     return int(seed)
 
@@ -109,11 +106,11 @@ def _expect(value, kind: type, path: str):
     return value
 
 
-def _expect_ints(value, path: str) -> list:
-    """``value`` if it is a JSON array of integers; otherwise a ConfigError
-    naming ``path``."""
+def _expect_array(value, kind: type, path: str) -> list:
+    """``value`` if it is a JSON array of ``kind`` entries; otherwise a
+    ConfigError naming ``path``."""
     for item in _expect(value, list, path):
-        _expect(item, int, f"{path} entry")
+        _expect(item, kind, f"{path} entry")
     return value
 
 
@@ -122,8 +119,8 @@ def _read_config(path, what: str) -> dict:
     with open(path, encoding="utf-8") as fh:
         try:
             doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"{what}: {exc}") from None
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+            raise ConfigError(f"{what} {path}: {exc}") from None
     return _expect(doc, dict, what)
 
 
@@ -134,7 +131,9 @@ def _read_config(path, what: str) -> dict:
 
 def _dgp_from_args(args, k: int) -> DgpSpec:
     sigma_factors = (
-        _parse_floats(args.sigma_factors) if args.sigma_factors else (1.0,) * k
+        _parse_list(args.sigma_factors, float, "--sigma-factors")
+        if args.sigma_factors
+        else (1.0,) * k
     )
     return DgpSpec(
         variant=args.dgp,
@@ -142,13 +141,13 @@ def _dgp_from_args(args, k: int) -> DgpSpec:
         sigma_cell=args.sigma_cell,
         sigma_unit=args.sigma_unit,
         cell_sizes=_parse_cell_sizes(args.cell_sizes),
-        beta=_parse_floats(args.beta),
-        error_rho=_parse_floats(args.error_rho),
+        beta=_parse_list(args.beta, float, "--beta"),
+        error_rho=_parse_list(args.error_rho, float, "--error-rho"),
     )
 
 
 def cmd_simulate(args) -> int:
-    dims = Dimensions(_parse_ints(args.dims))
+    dims = Dimensions(_parse_list(args.dims, int, "--dims"))
     seed = _effective_seed(args.seed)
     dgp = _dgp_from_args(args, dims.k)
     sample, theta0 = generate(dgp, dims, seed)
@@ -179,20 +178,21 @@ def _gmm_model_from_config(path):
     bounds = doc.get("bounds")
     if bounds is not None:
         _expect(bounds, list, "bounds")
+    bounds = bounds or None  # the model's default box
     try:
         if family == "quantile_iv":
             model = quantile_iv_moments(
                 tau=_expect(doc["tau"], float, "tau"),
                 outcome_index=_expect(doc["outcome_index"], int, "outcome_index"),
-                x_indices=_expect_ints(doc["x_indices"], "x_indices"),
-                z_indices=_expect_ints(doc["z_indices"], "z_indices"),
-                bounds=np.asarray(bounds) if bounds else None,
+                x_indices=_expect_array(doc["x_indices"], int, "x_indices"),
+                z_indices=_expect_array(doc["z_indices"], int, "z_indices"),
+                bounds=bounds,
             )
         elif family == "probit":
             model = probit_score_moments(
                 outcome_index=_expect(doc.get("outcome_index", 0), int, "outcome_index"),
                 x_index=_expect(doc.get("x_index", 1), int, "x_index"),
-                bounds=np.asarray(bounds) if bounds else None,
+                bounds=bounds,
             )
         else:
             raise ConfigError(f"model config family: unknown {family!r}")
@@ -225,7 +225,9 @@ _FIT_OPTIONS = {
     "ols": lambda args: {
         "spec": LinearModelSpec(
             outcome_index=args.outcome,
-            regressor_indices=_parse_ints(args.regressors) if args.regressors else (),
+            regressor_indices=(
+                _parse_list(args.regressors, int, "--regressors") if args.regressors else ()
+            ),
             intercept=args.intercept,
         )
     },
@@ -240,7 +242,7 @@ def _fit(args, sample) -> Fitted:
 
 
 def _load_input(args):
-    dims = Dimensions(_parse_ints(args.dims)) if args.dims else None
+    dims = Dimensions(_parse_list(args.dims, int, "--dims")) if args.dims else None
     sample = read_dataset(args.input, dims)
     return sample
 
@@ -353,20 +355,26 @@ def _require(doc: dict, key: str, path: str):
 def _mc_config_from_doc(doc: dict, workers: int) -> McConfig:
     dgp_doc = dict(_expect(_require(doc, "dgp", ""), dict, "dgp"))
     sizes_doc = _expect(dgp_doc.pop("cell_sizes", None) or {}, dict, "dgp.cell_sizes")
+    for key, kind in (("n", int), ("mu", float)):
+        if key in sizes_doc:
+            _expect(sizes_doc[key], kind, f"dgp.cell_sizes.{key}")
     try:
         cell_sizes = CellSizeLaw(**sizes_doc)
     except TypeError as exc:
         raise ConfigError(f"dgp.cell_sizes: {exc}") from None
     for key in ("sigma_factors", "beta", "error_rho"):
         if key in dgp_doc:
-            dgp_doc[key] = tuple(_expect(dgp_doc[key], list, f"dgp.{key}"))
+            dgp_doc[key] = tuple(_expect_array(dgp_doc[key], float, f"dgp.{key}"))
+    for key in ("sigma_cell", "sigma_unit"):
+        if key in dgp_doc:
+            _expect(dgp_doc[key], float, f"dgp.{key}")
     try:
         dgp = DgpSpec(cell_sizes=cell_sizes, **dgp_doc)
     except TypeError as exc:
         raise ConfigError(f"dgp: {exc}") from None
     return McConfig(
         dgp=dgp,
-        dims=Dimensions(tuple(_expect(_require(doc, "dims", ""), list, "dims"))),
+        dims=Dimensions(tuple(_expect_array(_require(doc, "dims", ""), int, "dims"))),
         replications=_expect(_require(doc, "replications", ""), int, "replications"),
         alpha=_expect(doc.get("alpha", 0.05), float, "alpha"),
         methods=tuple(_expect(doc.get("methods", ["wald-v1"]), list, "methods")),
@@ -480,18 +488,12 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except DegenerateDesignError as exc:
+    except MultiwayError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DEGENERATE
-    except (SingularVarianceError, SingularDesignError) as exc:
+        return exc.exit_code
+    except OSError as exc:  # a path the user named: an input error
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_SINGULAR
-    except ConvergenceError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONVERGENCE
-    except (MultiwayError, ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+        return MultiwayError.exit_code
 
 
 if __name__ == "__main__":

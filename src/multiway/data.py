@@ -112,8 +112,8 @@ class ClusteredSample:
     offsets: np.ndarray
 
     def __post_init__(self):
-        if self.values.ndim != 2:
-            raise ShapeError("values must be 2-d (n_units, obs_dim)")
+        if self.values.ndim != 2 or self.values.shape[1] < 1:
+            raise ShapeError("values must be 2-d (n_units, obs_dim) with obs_dim >= 1")
         if self.offsets.shape != (self.dims.pi_c + 1,):
             raise ShapeError("offsets must have length pi_c + 1")
 

@@ -205,11 +205,13 @@ def _json_units_loop(units, dims: Dimensions) -> ClusteredSample:
 def read_dataset(path, dims: Dimensions | None = None) -> ClusteredSample:
     """Load a dataset by extension; CSV needs explicit cluster counts."""
     p = Path(path)
-    if p.suffix.lower() == ".json":
-        return read_dataset_json(p)
-    if dims is None:
+    is_json = p.suffix.lower() == ".json"
+    if not is_json and dims is None:
         raise ParseError("CSV datasets need cluster counts (--dims)")
-    return read_dataset_csv(p, dims)
+    try:
+        return read_dataset_json(p) if is_json else read_dataset_csv(p, dims)
+    except (UnicodeDecodeError, csv.Error) as exc:  # not UTF-8; a field over csv's size limit
+        raise ParseError(f"{p}: {exc}") from None
 
 
 def write_json(path, payload: dict) -> None:

@@ -1,10 +1,25 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the CLI's exit codes.
+
+Each error class carries the status the ``multiway`` command exits with
+for it, its ``exit_code``; nothing else defines an exit code:
+
+  2  every MultiwayError not listed below (input, parse and config
+     errors), and an OSError on a path the user named
+  3  DegenerateDesignError
+  4  SingularVarianceError, SingularDesignError
+  5  ConvergenceError
+
+A run that succeeds exits 0. Any other exception is a bug and exits with
+its traceback.
+"""
 
 from __future__ import annotations
 
 
 class MultiwayError(Exception):
     """Base class for all package-specific errors."""
+
+    exit_code = 2
 
 
 class ShapeError(MultiwayError, ValueError):
@@ -35,13 +50,19 @@ class EmptySampleError(MultiwayError, ValueError):
 class DegenerateDesignError(MultiwayError, ValueError):
     """A cluster layout on which an estimator's defining pair set is empty."""
 
+    exit_code = 3
+
 
 class SingularVarianceError(MultiwayError, ValueError):
     """A variance matrix is singular or indefinite beyond the condition cap."""
 
+    exit_code = 4
+
 
 class SingularDesignError(MultiwayError, ValueError):
     """A Gram or bread matrix cannot be inverted reliably."""
+
+    exit_code = 4
 
 
 class InsufficientReplicatesError(MultiwayError, ValueError):
@@ -54,6 +75,8 @@ class ConvergenceError(MultiwayError, RuntimeError):
     ``best_theta`` and ``best_value`` hold the best point found so far.
     """
 
+    exit_code = 5
+
     def __init__(self, message: str, best_theta=None, best_value=None):
         super().__init__(message)
         self.best_theta = best_theta
@@ -61,7 +84,7 @@ class ConvergenceError(MultiwayError, RuntimeError):
 
 
 class ModelError(MultiwayError, ValueError):
-    """A moment model is misspecified or failed to evaluate."""
+    """A moment model is misspecified or its output has the wrong shape."""
 
 
 class UnsupportedError(MultiwayError, ValueError):

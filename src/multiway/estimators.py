@@ -175,11 +175,14 @@ class LinearModelSpec:
             self, "regressor_indices", tuple(int(i) for i in self.regressor_indices)
         )
         if self.outcome_index in self.regressor_indices:
-            raise ValueError("outcome coordinate cannot also be a regressor")
+            raise ConfigError(
+                f"regressor_indices: the outcome coordinate {self.outcome_index} "
+                "cannot also be a regressor"
+            )
         if len(set(self.regressor_indices)) != len(self.regressor_indices):
-            raise ValueError("duplicate regressor coordinates")
+            raise ConfigError("regressor_indices: duplicate regressor coordinates")
         if not self.intercept and not self.regressor_indices:
-            raise ValueError("model has no regressors at all")
+            raise ConfigError("regressor_indices: model has no regressors at all")
 
     def design(self, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(X, y) for a stacked observation array."""
@@ -329,12 +332,15 @@ class QuantileData:
 
 def quantile_data(sample: ClusteredSample, spec: EcdfSpec, tau: float) -> QuantileData:
     if not 0.0 < tau < 1.0:
-        raise ValueError(f"tau must be in (0, 1), got {tau}")
+        raise ConfigError(f"tau: must be in (0, 1), got {tau}")
     pooled = spec.pooled(sample)
     if pooled.shape[1] != 1:
-        raise ValueError("quantiles need a single coordinate")
+        raise ConfigError("coordinate: quantiles need a single coordinate")
     if pooled.shape[0] == 0:
         raise EmptySampleError("quantile needs at least one unit")
+    if not np.isfinite(pooled).all():
+        # a NaN would sort last and go unnoticed; counted as singular like any NaN
+        raise SingularDesignError(f"coordinate {spec.coordinate}: values are not all finite")
     order = np.argsort(pooled[:, 0], kind="stable")
     return QuantileData(
         dims=sample.dims,

@@ -28,10 +28,11 @@ from .errors import (
     ConvergenceError,
     EmptySampleError,
     ModelError,
-    MultiwayError,
+    ShapeError,
     SingularDesignError,
+    SingularVarianceError,
 )
-from .seeding import stream_rng
+from .seeding import check_seed, stream_rng
 from .variance import CenteredScores, check_condition, vhat1
 
 __all__ = [
@@ -74,7 +75,10 @@ class MomentModel:
             raise ModelError(
                 f"underidentified: L={self.n_moments} < p={self.n_params}"
             )
-        b = np.asarray(self.bounds, dtype=np.float64)
+        try:
+            b = np.asarray(self.bounds, dtype=np.float64)
+        except (TypeError, ValueError):  # ragged or not numbers
+            b = np.empty((0, 0))
         if b.shape != (self.n_params, 2) or np.any(b[:, 0] >= b[:, 1]):
             raise ModelError("bounds must be a (p, 2) box with lower < upper")
         if not np.all(np.isfinite(b)):
@@ -82,12 +86,7 @@ class MomentModel:
         object.__setattr__(self, "bounds", b)
 
     def moments(self, values: np.ndarray, theta: np.ndarray) -> np.ndarray:
-        try:
-            out = np.asarray(self.fn(values, theta), dtype=np.float64)
-        except MultiwayError:  # the model's own refusal keeps its message
-            raise
-        except Exception as exc:
-            raise ModelError(f"moment evaluation failed at theta={theta}") from exc
+        out = np.asarray(self.fn(values, theta), dtype=np.float64)
         if out.shape != (values.shape[0], self.n_moments):
             raise ModelError(
                 f"moment function returned {out.shape}, "
@@ -98,19 +97,23 @@ class MomentModel:
 
 @dataclass(frozen=True)
 class WeightMatrix:
-    """Symmetric positive definite L x L GMM weight."""
+    """Symmetric positive definite L x L GMM weight.
+
+    A matrix that is not square raises ShapeError; one that is not
+    symmetric positive definite raises SingularVarianceError, since the
+    two-step weight is the inverse of a variance estimate."""
 
     xi: np.ndarray
 
     def __post_init__(self):
         xi = np.asarray(self.xi, dtype=np.float64)
         if xi.ndim != 2 or xi.shape[0] != xi.shape[1]:
-            raise ValueError("weight matrix must be square")
+            raise ShapeError("weight matrix must be square")
         scale = max(np.abs(xi).max(), 1e-300)
         if np.abs(xi - xi.T).max() > 1e-12 * scale:
-            raise ValueError("weight matrix must be symmetric")
+            raise SingularVarianceError("weight matrix must be symmetric")
         if np.linalg.eigvalsh(xi)[0] <= 0:
-            raise ValueError("weight matrix must be positive definite")
+            raise SingularVarianceError("weight matrix must be positive definite")
         object.__setattr__(self, "xi", 0.5 * (xi + xi.T))
 
     @classmethod
@@ -133,6 +136,9 @@ class OptimizerConfig:
     seed: int = 0
     grid_points: int = 201
     grid_rounds: int = 8
+
+    def __post_init__(self):
+        check_seed(self.seed)
 
 
 @dataclass(frozen=True)
@@ -583,7 +589,7 @@ def quantile_iv_moments(
     optimization only.
     """
     if not 0.0 < tau < 1.0:
-        raise ValueError(f"tau must be in (0, 1), got {tau}")
+        raise ModelError(f"tau: must be in (0, 1), got {tau}")
     x_idx = [int(i) for i in x_indices]
     z_idx = [int(i) for i in z_indices]
     p, L = len(x_idx), len(z_idx)

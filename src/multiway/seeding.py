@@ -9,11 +9,20 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["derive_seed", "stream_rng", "TAG_DATA", "TAG_BOOT"]
+from .errors import ConfigError
+
+__all__ = ["check_seed", "derive_seed", "stream_rng", "TAG_DATA", "TAG_BOOT"]
 
 # Path tags separating the independent uses of one replication's seed.
 TAG_DATA = 0
 TAG_BOOT = 1
+
+
+def check_seed(seed: int) -> None:
+    """A ConfigError naming ``seed`` unless numpy takes it as a master seed
+    (an integer >= 0)."""
+    if seed < 0:
+        raise ConfigError(f"seed: must be >= 0, got {seed}")
 
 
 def stream_rng(seed: int, *path: int) -> np.random.Generator:

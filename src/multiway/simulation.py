@@ -28,7 +28,7 @@ from .dataio import SCHEMA_VERSION
 from .errors import ConfigError, MultiwayError, UnsupportedError
 from .estimators import EcdfSpec, fit
 from .gmm import probit_score_moments
-from .seeding import TAG_BOOT, TAG_DATA, derive_seed
+from .seeding import TAG_BOOT, TAG_DATA, check_seed, derive_seed
 from .variance import ADJUSTMENTS, check_alpha, vhat1, wald_region
 
 # Unused here, but the benchmark's span tracer (perfbench/spans.py) replaces
@@ -62,6 +62,8 @@ _FIT_ARGS = {
     "probit": ("gmm", {"model": probit_score_moments(0, 1)}),
 }
 ESTIMATORS = tuple(_FIT_ARGS)
+# Largest (mean) cell size: one cell's units fill a 2 GiB float64 column.
+MAX_CELL_SIZE = 2**28
 
 
 @dataclass(frozen=True)
@@ -77,10 +79,11 @@ class CellSizeLaw:
     def __post_init__(self):
         if self.kind not in ("fixed", "one_plus_poisson"):
             raise ConfigError(f"cell_sizes.kind: unknown law {self.kind!r}")
-        if self.kind == "fixed" and self.n < 0:
-            raise ConfigError("cell_sizes.n must be >= 0")
-        if self.mu < 0:
-            raise ConfigError("cell_sizes.mu must be >= 0")
+        # the cap also keeps mu inside the rates numpy's Poisson sampler takes
+        if self.kind == "fixed" and not 0 <= self.n <= MAX_CELL_SIZE:
+            raise ConfigError(f"cell_sizes.n must be in [0, {MAX_CELL_SIZE}], got {self.n}")
+        if not 0 <= self.mu <= MAX_CELL_SIZE:
+            raise ConfigError(f"cell_sizes.mu must be in [0, {MAX_CELL_SIZE}], got {self.mu}")
 
 
 @dataclass(frozen=True)
@@ -110,20 +113,24 @@ class DgpSpec:
         object.__setattr__(
             self, "sigma_factors", tuple(float(s) for s in self.sigma_factors)
         )
-        if any(s < 0 for s in self.sigma_factors) or min(self.sigma_cell, self.sigma_unit) < 0:
-            raise ConfigError("standard deviations must be >= 0")
-        if self.variant == "probit" and sum(self.error_rho) >= 1.0:
-            raise ConfigError("error_rho shares must sum to < 1")
+        if not all(s >= 0 for s in (*self.sigma_factors, self.sigma_cell, self.sigma_unit)):
+            raise ConfigError("standard deviations must be >= 0 (NaN is refused too)")
+        if self.variant == "probit":
+            if len(self.beta) != 2 or len(self.error_rho) != 2:
+                raise ConfigError("beta, error_rho: the probit DGP needs two of each")
+            if not all(r >= 0 for r in self.error_rho) or sum(self.error_rho) >= 1.0:
+                raise ConfigError("error_rho shares must be >= 0 and sum to < 1")
 
 
 def _check_dims(dgp: DgpSpec, dims: Dimensions) -> None:
     if dgp.variant in ("product", "probit") and dims.k != 2:
-        raise ValueError(f"{dgp.variant} DGP requires two-way dims, got k={dims.k}")
+        raise ConfigError(f"dims: the {dgp.variant} DGP requires two-way dims, got k={dims.k}")
     if dgp.variant == "additive3" and dims.k != 3:
-        raise ValueError(f"additive3 DGP requires three-way dims, got k={dims.k}")
-    if dgp.variant in ("additive", "additive3") and len(dgp.sigma_factors) != dims.k:
-        raise ValueError(
-            f"need {dims.k} factor standard deviations, got {len(dgp.sigma_factors)}"
+        raise ConfigError(f"dims: the additive3 DGP requires three-way dims, got k={dims.k}")
+    if dgp.variant != "product" and len(dgp.sigma_factors) != dims.k:
+        raise ConfigError(
+            f"sigma_factors: need {dims.k} factor standard deviations, "
+            f"got {len(dgp.sigma_factors)}"
         )
 
 
@@ -309,6 +316,7 @@ class McConfig:
         if self.replications < 1:
             raise ConfigError("replications: must be >= 1")
         check_alpha(self.alpha)
+        check_seed(self.seed)
         object.__setattr__(self, "methods", tuple(self.methods))
         for m in self.methods:
             if m not in METHODS:

@@ -4,8 +4,9 @@ re-raises programming errors."""
 import numpy as np
 import pytest
 
-from multiway import CellSums, Dimensions, run_bootstrap
+from multiway import CellSums, Dimensions, load_sample, run_bootstrap
 from multiway.errors import ConvergenceError
+from multiway.gmm import MomentModel, gmm_bootstrap_estimator, gmm_fit
 
 
 def sums():
@@ -25,9 +26,49 @@ def failing_on_replicates(exc):
     return hook
 
 
-def test_programming_error_in_hook_propagates():
+def mean_moment_failing_below(n_units):
+    """The moment y - theta, whose function raises a TypeError (a bug, not
+    a refusal) on any sample with fewer than ``n_units`` units."""
+
+    def fn(values, theta):
+        if values.shape[0] < n_units:
+            raise TypeError("bad operand")
+        return values[:, :1] - theta
+
+    return MomentModel(fn, n_params=1, n_moments=1, bounds=[[-10.0, 10.0]])
+
+
+def gmm_sample():
+    cells = [(i, j) for i in range(1, 4) for j in range(1, 4)]
+    return load_sample([(c, [float(sum(c))]) for c in cells], Dimensions((3, 3)))
+
+
+def gmm_hook_failing_on_replicates():
+    """A GMM bootstrap hook whose moment function raises a TypeError on the
+    cell subsamples of the replicates, and the sample it runs on."""
+    sample = gmm_sample()
+    model = mean_moment_failing_below(sample.n_units)
+    theta = gmm_fit(sample, model).theta
+    return gmm_bootstrap_estimator(model, warm_start=theta), sample
+
+
+HOOKS = {
+    "hook": lambda: (failing_on_replicates(TypeError("bad operand")), sums()),
+    "gmm moment function": gmm_hook_failing_on_replicates,
+}
+
+
+@pytest.mark.parametrize("case", list(HOOKS))
+def test_programming_error_in_hook_propagates(case):
+    hook, prepared = HOOKS[case]()
     with pytest.raises(TypeError, match="bad operand"):
-        run_bootstrap(failing_on_replicates(TypeError("bad operand")), sums(), b=5, seed=1)
+        run_bootstrap(hook, prepared, b=5, seed=1)
+
+
+def test_programming_error_in_moment_function_propagates_from_gmm_fit():
+    sample = gmm_sample()
+    with pytest.raises(TypeError, match="bad operand"):
+        gmm_fit(sample, mean_moment_failing_below(sample.n_units + 1))
 
 
 @pytest.mark.parametrize(

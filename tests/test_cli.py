@@ -372,6 +372,12 @@ NON_FINITE = {
         ["--estimator", "ratio"],
         "variance estimate is singular",
     ),
+    # one nan in the quantile's coordinate: it would sort last and go unnoticed
+    "quantile-nan-outcome": (
+        "1,1,1.0,0.5\n1,2,nan,1.0\n2,1,2.0,1.5\n2,2,4.0,3.0\n",
+        ["--estimator", "quantile"],
+        "coordinate 0: values are not all finite",
+    ),
 }
 
 
@@ -387,3 +393,50 @@ def test_non_finite_input_exits_4_writing_nothing(case, tmp_path, capsys):
     assert "Traceback" not in err
     assert err.splitlines()[-1].startswith(f"error: {matrix}")
     assert [p.name for p in tmp_path.iterdir()] == ["d.csv"]
+
+
+# case -> (file name, bytes, argv, the error's start); in the argv "{path}"
+# stands for the file and "{data}" for a readable dataset
+UNREADABLE = {
+    "csv input": ("d.csv", b"dim1,dim2,y1\n1,1,\xff\xfe\n",
+                  ["estimate", "--input", "{path}", "--dims", "2,2"],
+                  "error: {path}: 'utf-8' codec"),
+    "json input": ("d.json", b'{"dims": [2, 2], "units": "\xff"}',
+                   ["bootstrap", "--input", "{path}", "--b", "40"],
+                   "error: {path}: 'utf-8' codec"),
+    "mc config": ("c.json", b'{"dims": "\xff"}', ["mc", "--config", "{path}"],
+                  "error: config {path}: 'utf-8' codec"),
+    "model config": ("m.json", b'{"family": "\xff"}',
+                     ["estimate", "--input", "{data}", "--dims", "5,5", "--estimator", "gmm",
+                      "--model-config", "{path}"],
+                     "error: model config {path}: 'utf-8' codec"),
+}
+
+
+@pytest.mark.parametrize("case", list(UNREADABLE))
+def test_non_utf8_file_exits_2_naming_it(case, tmp_path, capsys):
+    name, content, argv, message = UNREADABLE[case]
+    data = simulate(tmp_path)
+    path = tmp_path / name
+    path.write_bytes(content)
+    out_dir = tmp_path / "out"
+    out_dir.mkdir()
+    argv = [a.format(path=path, data=data) for a in argv]
+    capsys.readouterr()
+    assert run([*argv, "--out", out_dir / "result"]) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.splitlines()[-1].startswith(message.format(path=path))
+    assert list(out_dir.iterdir()) == []
+
+
+@pytest.mark.parametrize("sizes", ["fixed:abc", "fixed:1.5", "fixed:", "poisson:x",
+                                   "poisson:1:other", "poisson"])
+def test_malformed_cell_sizes_exit_2_naming_the_flag(sizes, tmp_path, capsys):
+    argv = ["simulate", "--dgp", "additive", "--dims", "3,3", "--seed", "1",
+            "--cell-sizes", sizes, "--out", tmp_path / "d.csv"]
+    capsys.readouterr()
+    assert run(argv) == 2
+    err = capsys.readouterr().err
+    assert err.splitlines()[-1].startswith("error: --cell-sizes: expected fixed:<n>")
+    assert list(tmp_path.iterdir()) == []

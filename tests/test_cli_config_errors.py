@@ -66,6 +66,11 @@ CASES = {
     "cell_sizes not an object": (*dgp_case(cell_sizes=[1]), {}, "dgp.cell_sizes"),
     "sigma_factors number": (*dgp_case(sigma_factors=1.0), {}, "dgp.sigma_factors"),
     "dims number": (*mc_case(dims=4), {}, "dims"),
+    "dims entry object": (*mc_case(dims=[{}, 3]), {}, "dims"),
+    "dims entry string": (*mc_case(dims=["a", 3]), {}, "dims"),
+    "cell_sizes.n fraction": (*dgp_case(cell_sizes={"kind": "fixed", "n": 2.5}), {},
+                              "dgp.cell_sizes.n"),
+    "ragged bounds": ("gmm", {**PROBIT, "bounds": [[1, 2], [3]]}, {}, "bounds"),
     "replications string": (*mc_case(replications="2"), {}, "replications"),
     "replications boolean": (*mc_case(replications=True), {}, "replications"),
     "methods string": (*mc_case(methods="wald-v1"), {}, "methods: expected a JSON array"),
