@@ -586,7 +586,9 @@ def quantile_iv_moments(
     """m = Z (tau - 1{W - X'theta <= 0}): instrumental quantile moments.
 
     Nonsmooth: no Jacobian, finite differences disabled, derivative-free
-    optimization only.
+    optimization only. The per-unit design (W, X, Z, column checks passed)
+    of the last sample is cached as in :func:`probit_score_moments`: a
+    one-tuple keyed on the ``values`` array itself, replaced whole.
     """
     if not 0.0 < tau < 1.0:
         raise ModelError(f"tau: must be in (0, 1), got {tau}")
@@ -595,14 +597,22 @@ def quantile_iv_moments(
     p, L = len(x_idx), len(z_idx)
     if bounds is None:
         bounds = np.tile([-10.0, 10.0], (p, 1))
+    design = None
 
-    def fn(values, theta):
+    def unit_design(values):
+        nonlocal design
+        hit = design
+        if hit is not None and hit[0] is values:
+            return hit[1]
         check_columns(
             values.shape[1], outcome_index=(outcome_index,), x_indices=x_idx, z_indices=z_idx
         )
-        w = values[:, outcome_index]
-        x = values[:, x_idx]
-        z = values[:, z_idx]
+        out = (values[:, outcome_index], values[:, x_idx], values[:, z_idx])
+        design = (values, out)
+        return out
+
+    def fn(values, theta):
+        w, x, z = unit_design(values)
         ind = (w - x @ theta <= 0).astype(np.float64)
         return z * (tau - ind)[:, None]
 

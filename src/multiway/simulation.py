@@ -64,6 +64,8 @@ _FIT_ARGS = {
 ESTIMATORS = tuple(_FIT_ARGS)
 # Largest (mean) cell size: one cell's units fill a 2 GiB float64 column.
 MAX_CELL_SIZE = 2**28
+# Largest expected number of units in one draw, for the same reason.
+MAX_UNITS = 2**28
 
 
 @dataclass(frozen=True)
@@ -134,6 +136,23 @@ def _check_dims(dgp: DgpSpec, dims: Dimensions) -> None:
         )
 
 
+def _check_unit_count(dgp: DgpSpec, dims: Dimensions) -> None:
+    """Refuse, before anything of length pi_c or n_units is allocated, a
+    cell-size law whose expected unit count exceeds :data:`MAX_UNITS`."""
+    law = dgp.cell_sizes
+    if dgp.variant == "product":  # one unit per cell, whatever the law
+        mean = 1
+    elif law.kind == "fixed":
+        mean = law.n
+    else:  # 1 + Poisson(rate), and a factor-linked rate is at most mu
+        mean = 1 + law.mu
+    if dims.pi_c * mean > MAX_UNITS:
+        raise ConfigError(
+            f"cell_sizes: pi_c = {dims.pi_c} cells times a mean cell size of {mean:.15g} "
+            f"is {dims.pi_c * mean:.15g} units, over the limit of {MAX_UNITS}"
+        )
+
+
 def _factor_grid(factors: Sequence[np.ndarray], dims: Dimensions) -> np.ndarray:
     """Broadcast per-dimension factor vectors to a flat per-cell sum."""
     total = np.zeros(dims.counts)
@@ -176,6 +195,7 @@ def generate(dgp: DgpSpec, dims: Dimensions, seed: int) -> tuple[ClusteredSample
     """
     check_dense_lattice(dims)
     _check_dims(dgp, dims)
+    _check_unit_count(dgp, dims)
     rng = np.random.default_rng(int(seed))
 
     if dgp.variant in ("additive", "additive3"):

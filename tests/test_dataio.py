@@ -12,7 +12,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from multiway.data import Dimensions, load_sample, sample_from_cell_ids
@@ -154,6 +154,58 @@ def test_writer_empty_sample_is_header_only(tmp_path):
     sample = load_sample([], Dimensions((2, 3)), obs_dim=2)
     write_dataset_csv(tmp_path / "e.csv", sample)
     assert (tmp_path / "e.csv").read_bytes() == b"dim1,dim2,y1,y2\n"
+
+
+def row_text(sample):
+    """The file text built one row at a time: coordinates, then repr of each value."""
+    dims = sample.dims
+    lines = [",".join([f"dim{i + 1}" for i in range(dims.k)]
+                      + [f"y{j + 1}" for j in range(sample.obs_dim)])]
+    for flat in range(dims.pi_c):
+        coords = ",".join(map(str, dims.coords_of(flat)))
+        for y in sample.values[sample.offsets[flat] : sample.offsets[flat + 1]].tolist():
+            lines.append(coords + "," + ",".join(map(repr, y)))
+    return "\n".join(lines) + "\n"
+
+
+def sample_of(counts, sizes, values):
+    dims = Dimensions(counts)
+    flat = np.repeat(np.arange(dims.pi_c), sizes)
+    return sample_from_cell_ids(dims, flat, np.array(values, dtype=np.float64))
+
+
+EDGE_VALUES = [[-0.0, 1e-05], [1e16, 5e-324], [math.nan, math.inf], [-math.inf, 0.1]]
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(samples())
+@example(sample_of((2, 3), [1, 0, 2, 0, 0, 1], EDGE_VALUES))  # empty cells, edge values
+@example(sample_of((3,), [0, 8, 0], [[v] for row in EDGE_VALUES for v in row]))
+@example(sample_of((2, 1, 2), [0, 0, 0, 0], np.empty((0, 3))))  # zero units
+def test_writer_matches_row_by_row_text(tmp_path_factory, sample):
+    path = tmp_path_factory.mktemp("rows") / "d.csv"
+    write_dataset_csv(path, sample)
+    assert path.read_text(encoding="utf-8") == row_text(sample)
+    assert_same_samples(read_dataset_csv(path, sample.dims), sample)
+
+
+def test_writer_cell_straddling_blocks(tmp_path, monkeypatch):
+    # 3-row blocks over cell sizes 2, 0, 5, 1, 0, 3: the third cell spans
+    # rows 2..6, so it starts mid-block, fills a whole block and ends mid-block
+    import multiway.dataio as dataio
+
+    monkeypatch.setattr(dataio, "_BLOCK_ROWS", 3)
+    sizes = [2, 0, 5, 1, 0, 3]
+    values = np.arange(22, dtype=np.float64).reshape(11, 2) / 7.0
+    sample = sample_of((2, 3), sizes, values)
+    path = tmp_path / "d.csv"
+    write_dataset_csv(path, sample)
+    text = path.read_text(encoding="utf-8")
+    assert text == row_text(sample)
+    assert [line.split(",")[:2] for line in text.splitlines()[1:]] == (
+        [["1", "1"]] * 2 + [["1", "3"]] * 5 + [["2", "1"]] + [["2", "3"]] * 3
+    )
+    assert_same_samples(read_dataset_csv(path, sample.dims), sample)
 
 
 # --------------------------------------------------------------------- (c)

@@ -25,6 +25,8 @@ def reference_read(path):
         units = doc["units"]
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"bad dataset document: {exc}") from None
+    if not isinstance(units, list):
+        raise ParseError("units: expected an array of unit objects")
     records = []
     for i, unit in enumerate(units):
         try:

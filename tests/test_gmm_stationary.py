@@ -22,7 +22,7 @@ from multiway.bootstrap import draw_weights, run_bootstrap
 from multiway.cli import main
 from multiway.data import cell_subsample, sample_from_cell_ids
 from multiway.dataio import write_dataset_csv
-from multiway.errors import ConvergenceError, ModelError
+from multiway.errors import ConvergenceError, ModelError, ShapeError
 from multiway.gmm import (
     MomentModel,
     OptimizerConfig,
@@ -32,6 +32,7 @@ from multiway.gmm import (
     gmm_hhat,
     gmm_variance,
     probit_score_moments,
+    quantile_iv_moments,
 )
 from multiway.seeding import stream_rng
 
@@ -300,6 +301,24 @@ def test_probit_design_cache_matches_fresh_model():
         model.fn(bad, np.array([0.2, 0.7]))
     with pytest.raises(ModelError, match="binary"):
         model.jacobian(bad, np.array([0.2, 0.7]))
+
+
+def test_quantile_iv_design_cache_matches_fresh_model():
+    """The quantile IV design is rebuilt when the values array changes:
+    A, then B, then A again each give a fresh model's bytes, and an array
+    too narrow for the instrument column is still refused."""
+    model = quantile_iv_moments(0.5, 0, [1], [2, 3])
+    rng = np.random.default_rng(12)
+    a = rng.normal(size=(40, 4))
+    b = a.copy()
+    b[:, 0] = rng.normal(size=40)
+    b[:, 3] = rng.normal(size=40)
+    for values in (a, b, a):
+        for theta in (np.array([0.2]), np.array([-1.1])):
+            fresh = quantile_iv_moments(0.5, 0, [1], [2, 3])
+            assert model.fn(values, theta).tobytes() == fresh.fn(values, theta).tobytes()
+    with pytest.raises(ShapeError, match="z_indices: column 3"):
+        model.fn(a[:, :3], np.array([0.2]))
 
 
 def test_probit_cache_reruns_match():

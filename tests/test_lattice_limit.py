@@ -9,6 +9,7 @@ from multiway import Dimensions
 from multiway.cli import main
 from multiway.data import MAX_CELLS, check_dense_lattice
 from multiway.errors import ConfigError
+from multiway.simulation import MAX_UNITS, CellSizeLaw, DgpSpec, _check_unit_count
 
 BIG = "1000,1000,1000"
 MESSAGE = (
@@ -80,3 +81,50 @@ def test_bad_dims_are_config_errors(counts):
         Dimensions(counts)
     with pytest.raises(ValueError):
         Dimensions(counts)
+
+
+HUGE_CELLS = "cell_sizes: pi_c = 1 cells times a mean cell size of 268435457 is 268435457 units"
+
+
+def test_simulate_refuses_huge_unit_count(tmp_path, capsys):
+    out = tmp_path / "x.csv"
+    code, err, peak = _run_traced(
+        ["simulate", "--dgp", "additive", "--dims", 1, "--cell-sizes", "poisson:268435456",
+         "--seed", 1, "--out", out],
+        capsys,
+    )
+    assert code == 2
+    assert HUGE_CELLS in err
+    assert peak < 16 * 2**20
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_mc_refuses_huge_unit_count(tmp_path, capsys):
+    config = tmp_path / "mc.json"
+    config.write_text(json.dumps({
+        "dgp": {"variant": "additive", "sigma_factors": [1.0],
+                "cell_sizes": {"kind": "one_plus_poisson", "mu": 268435456}},
+        "dims": [1], "replications": 2, "methods": ["wald-v1"], "estimator": "ratio",
+    }))
+    out = tmp_path / "r"
+    code, err, peak = _run_traced(
+        ["mc", "--config", config, "--workers", 1, "--out", out], capsys
+    )
+    assert code == 2
+    assert HUGE_CELLS in err
+    assert peak < 16 * 2**20
+    assert list(tmp_path.iterdir()) == [config]
+
+
+def test_unit_limit_is_inclusive():
+    fixed = DgpSpec(sigma_factors=(1.0,), cell_sizes=CellSizeLaw("fixed", n=2**14))
+    _check_unit_count(fixed, Dimensions((2**14,)))
+    with pytest.raises(ConfigError, match="cell_sizes: pi_c = 16385 cells"):
+        _check_unit_count(fixed, Dimensions((2**14 + 1,)))
+    poisson = DgpSpec(sigma_factors=(1.0,), cell_sizes=CellSizeLaw("one_plus_poisson", mu=3.0))
+    _check_unit_count(poisson, Dimensions((MAX_UNITS // 4,)))
+    with pytest.raises(ConfigError, match="cell_sizes: "):
+        _check_unit_count(poisson, Dimensions((MAX_UNITS // 4 + 1,)))
+    # product draws one unit per cell whatever the law says
+    product = DgpSpec(variant="product", cell_sizes=CellSizeLaw("fixed", n=2**20))
+    _check_unit_count(product, Dimensions((2**10, 2**10)))
