@@ -14,18 +14,13 @@ from .bootstrap import (
     percentile_ci,
     run_bootstrap,
     symmetric_abs_ci,
-    weighted_cell_sums,
 )
 from .data import (
-    CellStatistic,
     CellSums,
     ClusteredSample,
     Dimensions,
     cell_sums,
-    count_statistic,
-    identity_statistic,
     load_sample,
-    margin_sum,
     pair_counts,
     subset_margin_sum,
 )
@@ -47,7 +42,6 @@ from .estimators import (
     EcdfSpec,
     Fitted,
     LinearModelSpec,
-    ecdf_eval,
     fit,
     mean_estimate,
     ols_fit,

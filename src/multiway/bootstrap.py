@@ -11,13 +11,14 @@ from __future__ import annotations
 
 import math
 import warnings
+from collections import Counter
 from dataclasses import dataclass
 from functools import reduce
 from typing import Callable
 
 import numpy as np
 
-from .data import CellSums, Dimensions
+from .data import Dimensions
 from .errors import ConfigError, InsufficientReplicatesError, MultiwayError, ShapeError
 from .seeding import stream_rng
 from .variance import check_alpha
@@ -33,7 +34,6 @@ __all__ = [
     "percentile_ci",
     "run_bootstrap",
     "symmetric_abs_ci",
-    "weighted_cell_sums",
 ]
 
 # Empirical quantiles are the ceil(n * q)-th order statistic (left-continuous
@@ -92,13 +92,6 @@ def draw_weights(dims: Dimensions, rng: np.random.Generator) -> PigeonholeWeight
     return PigeonholeWeights(dims, counts)
 
 
-def weighted_cell_sums(sums: CellSums, weights: PigeonholeWeights) -> CellSums:
-    """Resampled cell sums W_j S_j (identical to replicating cell j W_j times)."""
-    if weights.dims != sums.dims:
-        raise ShapeError("weights drawn for different dimensions than the sums")
-    return CellSums(sums.dims, weights.cell_weights()[:, None] * sums.values)
-
-
 @dataclass(frozen=True)
 class BootstrapReplicates:
     """Replicate estimates theta*_b with bookkeeping for failed replicates."""
@@ -142,8 +135,10 @@ def run_bootstrap(
     estimator need not be thread-safe. Replicates that raise a
     :class:`MultiwayError`, ``LinAlgError``, ``FloatingPointError`` or
     ``RuntimeError``, or return non-finite values, are dropped and counted;
-    more than 1% failures emits a warning. Any other exception propagates.
-    A ``b`` below 1 is a ConfigError naming ``b``.
+    more than 1% failures emits a warning, and if every replicate fails the
+    InsufficientReplicatesError counts them by exception class and quotes
+    the first message. Any other exception propagates. A ``b`` below 1 is
+    a ConfigError naming ``b``.
     """
     if b < 1:
         raise ConfigError(f"b: need at least one replicate, got {b}")
@@ -151,16 +146,19 @@ def run_bootstrap(
     theta_hat = np.atleast_1d(
         np.asarray(estimator(sample, PigeonholeWeights.identity(dims)), dtype=np.float64)
     )
-    indices, thetas = [], []
+    indices, thetas, failed = [], [], []  # failed: "<exception class>: <message>"
     for idx in range(b):
         w = draw_weights(dims, stream_rng(seed, idx))
         try:
             theta = np.atleast_1d(np.asarray(estimator(sample, w), dtype=np.float64))
-        except _REPLICATE_FAILURES:
+        except _REPLICATE_FAILURES as exc:
+            failed.append(f"{type(exc).__name__}: {exc}")
             continue
         if np.all(np.isfinite(theta)):
             indices.append(idx)
             thetas.append(theta)
+        else:
+            failed.append("non-finite estimate")
 
     n_failed = b - len(indices)
     if n_failed > 0.01 * b:
@@ -168,7 +166,11 @@ def run_bootstrap(
             f"{n_failed}/{b} bootstrap replicates failed", RuntimeWarning, stacklevel=2
         )
     if not indices:
-        raise InsufficientReplicatesError("every bootstrap replicate failed")
+        counts = Counter(f.partition(":")[0] for f in failed)
+        raise InsufficientReplicatesError(
+            f"b: all {b} bootstrap replicates failed "
+            f"({', '.join(f'{c} x{n}' for c, n in counts.items())}); first: {failed[0]}"
+        )
     return BootstrapReplicates(
         thetas=np.vstack(thetas),
         indices=np.array(indices, dtype=np.int64),
@@ -240,7 +242,7 @@ def symmetric_abs_ci(reps: BootstrapReplicates, alpha: float) -> SymmetricAbsReg
     n = reps.thetas.shape[0]
     if n < min_replicates("symmetric-abs", alpha):
         raise InsufficientReplicatesError(
-            f"{n} replicates cannot resolve the {1 - alpha:.3f} quantile"
+            f"b: {n} successful replicates cannot resolve the {1 - alpha:.3f} quantile"
         )
     devs = np.sort(np.linalg.norm(reps.thetas - reps.theta_hat, axis=1))
     return SymmetricAbsRegion(
@@ -253,7 +255,7 @@ def percentile_ci(reps: BootstrapReplicates, alpha: float) -> PercentileRegion:
     n = reps.thetas.shape[0]
     if n < min_replicates("percentile", alpha):
         raise InsufficientReplicatesError(
-            f"{n} replicates cannot resolve the {alpha / 2:.4f} quantile"
+            f"b: {n} successful replicates cannot resolve the {alpha / 2:.4f} quantile"
         )
     sorted_cols = np.sort(reps.thetas, axis=0)
     lower = np.array([_order_statistic(sorted_cols[:, r], alpha / 2) for r in range(reps.n_params)])

@@ -252,14 +252,23 @@ def _load_input(args):
 # ---------------------------------------------------------------------
 
 
+def _variance_kinds(text: str) -> list[str]:
+    """The kinds of a ``--variance`` list; an unknown one is a ConfigError."""
+    kinds = [k.strip() for k in text.split(",")] if text else []
+    unknown = [k for k in kinds if k not in ("v1", "v2", "cgm")]
+    if unknown:
+        raise ConfigError(f"--variance: unknown kind {unknown[0]!r}; expected v1, v2 or cgm")
+    return kinds
+
+
 def cmd_estimate(args) -> int:
     check_alpha(args.alpha)
+    kinds = None if args.variance is None else _variance_kinds(args.variance)
     print(f"seed: {args.seed if args.seed is not None else 0}", file=sys.stderr)
     sample = _load_input(args)
     fitted = _fit(args, sample)
-    if args.variance is None:
-        args.variance = "" if fitted.kind == "quantile" else "v1"
-    kinds = [k.strip() for k in args.variance.split(",")] if args.variance else []
+    if kinds is None:
+        kinds = [] if fitted.kind == "quantile" else ["v1"]
     variances = {}
     regions = {}
     for vkind in kinds:
@@ -307,7 +316,7 @@ def cmd_bootstrap(args) -> int:
     need = min_replicates("percentile", args.alpha)
     if args.b < need:
         raise InsufficientReplicatesError(
-            f"b={args.b} cannot resolve alpha={args.alpha}; need b >= {need}"
+            f"--b: {args.b} replicates cannot resolve --alpha {args.alpha}; need at least {need}"
         )
     sample = _load_input(args)
     seed = _effective_seed(args.seed)

@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -21,7 +21,6 @@ from .errors import ConfigError, ShapeError
 
 __all__ = [
     "MAX_CELLS",
-    "CellStatistic",
     "CellSums",
     "ClusteredSample",
     "Dimensions",
@@ -29,10 +28,7 @@ __all__ = [
     "cell_sums",
     "check_columns",
     "check_dense_lattice",
-    "count_statistic",
-    "identity_statistic",
     "load_sample",
-    "margin_sum",
     "pair_counts",
     "sample_from_cell_ids",
     "subset_margin_sum",
@@ -89,14 +85,6 @@ class Dimensions:
             flat = flat * n + (c - 1)
         return flat
 
-    def coords_of(self, flat: int) -> tuple[int, ...]:
-        """Inverse of :meth:`flat_index`; returns 1-based coordinates."""
-        out = []
-        for n in reversed(self.counts):
-            out.append(flat % n + 1)
-            flat //= n
-        return tuple(reversed(out))
-
 
 @dataclass(frozen=True)
 class ClusteredSample:
@@ -134,40 +122,6 @@ class ClusteredSample:
     def unit_cell_ids(self) -> np.ndarray:
         """Flat cell id of every unit row, shape (n_units,)."""
         return np.repeat(np.arange(self.dims.pi_c), self.cell_sizes)
-
-    def cell(self, coords: Sequence[int]) -> np.ndarray:
-        """Observation rows of one cell (1-based coordinates), input order."""
-        c = self.dims.flat_index(coords)
-        return self.values[self.offsets[c] : self.offsets[c + 1]]
-
-
-@dataclass(frozen=True)
-class CellStatistic:
-    """A vectorized unit-level statistic f mapping (n, obs_dim) -> (n, out_dim)."""
-
-    fn: Callable[[np.ndarray], np.ndarray]
-    out_dim: int
-
-    def __call__(self, values: np.ndarray) -> np.ndarray:
-        out = np.asarray(self.fn(values), dtype=np.float64)
-        if out.ndim == 1:
-            out = out[:, None]
-        if out.shape != (values.shape[0], self.out_dim):
-            raise ShapeError(
-                f"statistic returned shape {out.shape}, "
-                f"expected ({values.shape[0]}, {self.out_dim})"
-            )
-        return out
-
-
-def identity_statistic(obs_dim: int) -> CellStatistic:
-    """f(y) = y."""
-    return CellStatistic(lambda v: v, obs_dim)
-
-
-def count_statistic() -> CellStatistic:
-    """f(y) = 1, so the cell sums recover the cell sizes N_j."""
-    return CellStatistic(lambda v: np.ones((v.shape[0], 1)), 1)
 
 
 @dataclass(frozen=True)
@@ -277,20 +231,10 @@ def sum_by_cell(sample: ClusteredSample, rows: np.ndarray) -> np.ndarray:
     return out.reshape((n_cells, *rows.shape[1:]))
 
 
-def cell_sums(sample: ClusteredSample, stat: CellStatistic) -> CellSums:
-    """S_j = sum over the units of cell j of stat(Y); zero vector for empty cells."""
-    if not sample.n_units:
-        return CellSums(sample.dims, np.zeros((sample.dims.pi_c, stat.out_dim)))
-    return CellSums(sample.dims, sum_by_cell(sample, stat(sample.values)))
-
-
-def margin_sum(sums: CellSums, axis: int) -> np.ndarray:
-    """Sum S_j over all cells sharing each cluster of one dimension.
-
-    Returns an array of shape (C_axis, out_dim); row r is the sum over the
-    cells whose coordinate on ``axis`` is the cluster r + 1.
-    """
-    return subset_margin_sum(sums, (axis,))
+def cell_sums(sample: ClusteredSample) -> CellSums:
+    """S_j = sum of the observation vectors of the units of cell j; zero
+    vector for empty cells."""
+    return CellSums(sample.dims, sum_by_cell(sample, sample.values))
 
 
 def subset_margin_sum(sums: CellSums, axes: Sequence[int]) -> np.ndarray:
@@ -299,7 +243,7 @@ def subset_margin_sum(sums: CellSums, axes: Sequence[int]) -> np.ndarray:
     Cells agreeing on every dimension in ``axes`` are pooled. Returns shape
     (prod of the subset's C_i, out_dim), groups in row-major order of the
     subset coordinates. With all k axes this is S itself; with a single
-    axis it coincides with :func:`margin_sum`.
+    axis ``i`` row r sums the cells whose coordinate on ``i`` is cluster r + 1.
     """
     k = sums.dims.k
     axes = sorted(set(int(a) for a in axes))

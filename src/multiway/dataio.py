@@ -220,14 +220,16 @@ def _json_units_loop(units, dims: Dimensions) -> ClusteredSample:
 
 
 def read_dataset(path, dims: Dimensions | None = None) -> ClusteredSample:
-    """Load a dataset by extension; CSV needs explicit cluster counts."""
+    """Load a dataset by extension; CSV needs explicit cluster counts. A
+    file that cannot be read as a dataset is a ParseError naming it."""
     p = Path(path)
     is_json = p.suffix.lower() == ".json"
     if not is_json and dims is None:
         raise ParseError("CSV datasets need cluster counts (--dims)")
     try:
         return read_dataset_json(p) if is_json else read_dataset_csv(p, dims)
-    except (UnicodeDecodeError, csv.Error) as exc:  # not UTF-8; a field over csv's size limit
+    # a refused line or document; not UTF-8; a field over csv's size limit
+    except (ParseError, UnicodeDecodeError, csv.Error) as exc:
         raise ParseError(f"{p}: {exc}") from None
 
 

@@ -1,14 +1,14 @@
-"""Concrete estimators: mean, ratio mean, OLS, ECDF and quantiles.
+"""Concrete estimators: mean, ratio mean, OLS and quantiles.
 
-The mean and ratio estimators average the observation vectors
-themselves (the identity cell statistic). Each estimator returns a
+The mean and ratio estimators average the per-cell sums of the
+observation vectors. Each estimator returns a
 :class:`Fitted`: its point estimate, the per-cell score vectors that the
 variance estimators consume, and its weighted companion (suffix
 ``weighted_``) as the bootstrap hook, together with the per-cell data the
 hook re-estimates from by multiplying every per-cell sum by W_j. With
 identity weights the weighted companions reproduce the unweighted
 estimate exactly. :func:`fit` is the one dispatch over all estimators,
-GMM included.
+GMM included, and refuses non-finite data for all of them.
 """
 
 from __future__ import annotations
@@ -26,13 +26,11 @@ from .data import (
     Dimensions,
     cell_sums,
     check_columns,
-    identity_statistic,
     sum_by_cell,
 )
 from .errors import (
     ConfigError,
     EmptySampleError,
-    ShapeError,
     SingularDesignError,
     UnsupportedError,
 )
@@ -53,10 +51,8 @@ __all__ = [
     "LinearModelSpec",
     "OlsCellData",
     "QuantileData",
-    "ecdf_eval",
     "fit",
     "mean_estimate",
-    "ols_cell_data",
     "ols_fit",
     "ols_sandwich",
     "quantile_data",
@@ -91,7 +87,9 @@ class Fitted:
         """Variance of theta: the :func:`estimate_variance` meat of the
         scores first, then the bread."""
         if self.scores is None:
-            raise UnsupportedError("quantiles have no analytic variance; use the bootstrap")
+            raise UnsupportedError(
+                "variance: quantiles have no analytic variance; use the bootstrap"
+            )
         meat = estimate_variance(self.scores, kind, adjustment)
         if self.bread is None:
             return meat
@@ -106,7 +104,7 @@ class Fitted:
 def mean_estimate(sample: ClusteredSample) -> Fitted:
     """Mean of the cell sums S_j of the observations; scores are the
     centered sums S_j - theta."""
-    sums = cell_sums(sample, identity_statistic(sample.obs_dim))
+    sums = cell_sums(sample)
     theta = sums.values.mean(axis=0)
     scores = CenteredScores(sample.dims, sums.values - theta)
     return Fitted("mean", theta, scores, None, weighted_mean, sums, {"n_units": sample.n_units})
@@ -125,7 +123,7 @@ def weighted_mean(sums: CellSums, weights: PigeonholeWeights) -> np.ndarray:
 def ratio_cell_sums(sample: ClusteredSample) -> CellSums:
     """Cell sums of the observations stacked with the cell sizes; last
     column is N_j."""
-    fsums = cell_sums(sample, identity_statistic(sample.obs_dim))
+    fsums = cell_sums(sample)
     sizes = sample.cell_sizes.astype(np.float64)[:, None]
     return CellSums(sample.dims, np.hstack((fsums.values, sizes)))
 
@@ -269,10 +267,6 @@ class OlsCellData:
         return sum_by_cell(self.sample, self.X * self.y[:, None])
 
 
-def ols_cell_data(sample: ClusteredSample, spec: LinearModelSpec) -> OlsCellData:
-    return OlsCellData(sample, *spec.design(sample.values))
-
-
 def weighted_ols(data: OlsCellData, weights: PigeonholeWeights) -> np.ndarray:
     """theta* from the W_j-weighted normal equations."""
     w = weights.cell_weights().astype(np.float64)
@@ -282,42 +276,15 @@ def weighted_ols(data: OlsCellData, weights: PigeonholeWeights) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------
-# ECDF and quantiles
+# Quantiles
 # ---------------------------------------------------------------------
 
 
 @dataclass(frozen=True)
 class EcdfSpec:
-    """Which observation coordinate(s) the distribution estimator looks at.
+    """Which observation coordinate the quantile estimator inverts the ECDF of."""
 
-    A tuple of coordinates gives the joint componentwise-<= ECDF.
-    """
-
-    coordinate: int | tuple[int, ...] = 0
-
-    def pooled(self, sample: ClusteredSample) -> np.ndarray:
-        cols = self.coordinate if isinstance(self.coordinate, tuple) else (self.coordinate,)
-        check_columns(sample.obs_dim, coordinate=cols)
-        return sample.values[:, list(cols)]
-
-
-def ecdf_eval(sample: ClusteredSample, spec: EcdfSpec, y) -> float | np.ndarray:
-    """Unit-level ECDF: the fraction of pooled units componentwise <= y.
-
-    For a scalar coordinate, ``y`` may be a scalar or an array of query
-    points (evaluated elementwise). For a joint spec, ``y`` is one vector.
-    """
-    pooled = spec.pooled(sample)
-    if pooled.shape[0] == 0:
-        raise EmptySampleError("ECDF needs at least one unit")
-    if pooled.shape[1] == 1:
-        v = np.sort(pooled[:, 0])
-        out = np.searchsorted(v, np.asarray(y, dtype=np.float64), side="right") / v.shape[0]
-        return float(out) if np.isscalar(y) else out
-    yv = np.asarray(y, dtype=np.float64)
-    if yv.shape != (pooled.shape[1],):
-        raise ShapeError(f"joint ECDF query must have shape ({pooled.shape[1]},)")
-    return float(np.mean(np.all(pooled <= yv, axis=1)))
+    coordinate: int = 0
 
 
 @dataclass(frozen=True)
@@ -333,18 +300,14 @@ class QuantileData:
 def quantile_data(sample: ClusteredSample, spec: EcdfSpec, tau: float) -> QuantileData:
     if not 0.0 < tau < 1.0:
         raise ConfigError(f"tau: must be in (0, 1), got {tau}")
-    pooled = spec.pooled(sample)
-    if pooled.shape[1] != 1:
-        raise ConfigError("coordinate: quantiles need a single coordinate")
-    if pooled.shape[0] == 0:
+    check_columns(sample.obs_dim, coordinate=(spec.coordinate,))
+    if sample.n_units == 0:
         raise EmptySampleError("quantile needs at least one unit")
-    if not np.isfinite(pooled).all():
-        # a NaN would sort last and go unnoticed; counted as singular like any NaN
-        raise SingularDesignError(f"coordinate {spec.coordinate}: values are not all finite")
-    order = np.argsort(pooled[:, 0], kind="stable")
+    values = sample.values[:, spec.coordinate]
+    order = np.argsort(values, kind="stable")
     return QuantileData(
         dims=sample.dims,
-        sorted_values=pooled[order, 0],
+        sorted_values=values[order],
         sorted_cell_ids=sample.unit_cell_ids[order],
         tau=tau,
     )
@@ -379,8 +342,23 @@ def weighted_quantile(data: QuantileData, weights: PigeonholeWeights) -> np.ndar
 # ---------------------------------------------------------------------
 
 
+def _check_finite(sample: ClusteredSample) -> None:
+    """Refuse, naming its column and cell, the first non-finite observation
+    value: a NaN or inf would otherwise surface as a singular matrix, a
+    failed optimizer or a value silently sorted last, depending on the
+    estimator."""
+    finite = np.isfinite(sample.values)
+    if not finite.all():
+        row, col = np.argwhere(~finite)[0]
+        cell = np.unravel_index(sample.unit_cell_ids[row], sample.dims.counts)
+        raise SingularDesignError(
+            f"non-finite data: observation column {col} is {float(sample.values[row, col])!r} "
+            f"in cell {tuple(int(c) + 1 for c in cell)}"
+        )
+
+
 def _no_jacobian(meat: np.ndarray) -> np.ndarray:
-    raise UnsupportedError("nonsmooth model has no Jacobian; use the bootstrap")
+    raise UnsupportedError("variance: nonsmooth model has no Jacobian; use the bootstrap")
 
 
 def fit(
@@ -398,8 +376,10 @@ def fit(
     ``spec`` is the :class:`LinearModelSpec` for "ols" and the
     :class:`EcdfSpec` (with level ``tau``) for "quantile". "gmm" fits
     ``model`` with the optimizer ``config`` and ``two_step`` of
-    :func:`multiway.gmm.gmm_fit`.
+    :func:`multiway.gmm.gmm_fit`. A sample holding a NaN or inf value is
+    a :class:`SingularDesignError`.
     """
+    _check_finite(sample)
     if kind == "mean":
         return mean_estimate(sample)
     if kind == "ratio":

@@ -80,9 +80,9 @@ class MomentModel:
         except (TypeError, ValueError):  # ragged or not numbers
             b = np.empty((0, 0))
         if b.shape != (self.n_params, 2) or np.any(b[:, 0] >= b[:, 1]):
-            raise ModelError("bounds must be a (p, 2) box with lower < upper")
+            raise ModelError("bounds: must be a (p, 2) box with lower < upper")
         if not np.all(np.isfinite(b)):
-            raise ModelError("parameter box must be compact (finite bounds)")
+            raise ModelError("bounds: the parameter box must be compact (finite bounds)")
         object.__setattr__(self, "bounds", b)
 
     def moments(self, values: np.ndarray, theta: np.ndarray) -> np.ndarray:
@@ -595,6 +595,8 @@ def quantile_iv_moments(
     x_idx = [int(i) for i in x_indices]
     z_idx = [int(i) for i in z_indices]
     p, L = len(x_idx), len(z_idx)
+    if L < p:
+        raise ModelError(f"z_indices: {L} instruments cannot identify {p} coefficients")
     if bounds is None:
         bounds = np.tile([-10.0, 10.0], (p, 1))
     design = None
@@ -661,7 +663,7 @@ def probit_score_moments(
         check_columns(values.shape[1], outcome_index=(outcome_index,), x_index=(x_index,))
         y = values[:, outcome_index]
         if not np.all((y == 0) | (y == 1)):
-            raise ModelError("probit outcome must be binary in {0, 1}")
+            raise ModelError("outcome_index: the probit outcome must be binary in {0, 1}")
         x = np.ascontiguousarray(values[:, x_index])
         xx = np.empty((x.shape[0], 2, 2))
         xx[:, 0, 0] = 1.0

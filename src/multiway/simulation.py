@@ -83,9 +83,9 @@ class CellSizeLaw:
             raise ConfigError(f"cell_sizes.kind: unknown law {self.kind!r}")
         # the cap also keeps mu inside the rates numpy's Poisson sampler takes
         if self.kind == "fixed" and not 0 <= self.n <= MAX_CELL_SIZE:
-            raise ConfigError(f"cell_sizes.n must be in [0, {MAX_CELL_SIZE}], got {self.n}")
+            raise ConfigError(f"cell_sizes.n: must be in [0, {MAX_CELL_SIZE}], got {self.n}")
         if not 0 <= self.mu <= MAX_CELL_SIZE:
-            raise ConfigError(f"cell_sizes.mu must be in [0, {MAX_CELL_SIZE}], got {self.mu}")
+            raise ConfigError(f"cell_sizes.mu: must be in [0, {MAX_CELL_SIZE}], got {self.mu}")
 
 
 @dataclass(frozen=True)
@@ -115,13 +115,14 @@ class DgpSpec:
         object.__setattr__(
             self, "sigma_factors", tuple(float(s) for s in self.sigma_factors)
         )
-        if not all(s >= 0 for s in (*self.sigma_factors, self.sigma_cell, self.sigma_unit)):
-            raise ConfigError("standard deviations must be >= 0 (NaN is refused too)")
+        for name in ("sigma_factors", "sigma_cell", "sigma_unit"):
+            if not np.all(np.asarray(getattr(self, name)) >= 0):
+                raise ConfigError(f"{name}: standard deviations must be >= 0 (NaN is refused too)")
         if self.variant == "probit":
             if len(self.beta) != 2 or len(self.error_rho) != 2:
                 raise ConfigError("beta, error_rho: the probit DGP needs two of each")
             if not all(r >= 0 for r in self.error_rho) or sum(self.error_rho) >= 1.0:
-                raise ConfigError("error_rho shares must be >= 0 and sum to < 1")
+                raise ConfigError("error_rho: shares must be >= 0 and sum to < 1")
 
 
 def _check_dims(dgp: DgpSpec, dims: Dimensions) -> None:

@@ -8,13 +8,10 @@ from multiway import (
     ConfigError,
     Dimensions,
     InsufficientReplicatesError,
-    PigeonholeWeights,
-    ShapeError,
     draw_weights,
     percentile_ci,
     run_bootstrap,
     symmetric_abs_ci,
-    weighted_cell_sums,
 )
 from multiway.bootstrap import BootstrapReplicates
 from multiway.seeding import stream_rng
@@ -55,43 +52,6 @@ def test_weight_moments_small_monte_carlo():
     ]:
         se = stat.std(ddof=1) / np.sqrt(n)
         assert abs(stat.mean() - target) < 4 * se, name
-
-
-def test_weighted_cell_sums_identity_resample():
-    dims = Dimensions((2, 3))
-    sums = CellSums(dims, np.arange(12, dtype=float).reshape(6, 2))
-    out = weighted_cell_sums(sums, PigeonholeWeights.identity(dims))
-    np.testing.assert_array_equal(out.values, sums.values)
-
-
-def test_weighted_cell_sums_concentrated_draw():
-    dims = Dimensions((2, 2))
-    w = PigeonholeWeights(
-        dims, (np.array([2, 0]), np.array([2, 0]))
-    )
-    sums = CellSums(dims, np.ones((4, 1)))
-    out = weighted_cell_sums(sums, w)
-    np.testing.assert_array_equal(out.values[:, 0], [4.0, 0.0, 0.0, 0.0])
-
-
-def test_weighted_cell_sums_matches_replication_oracle():
-    dims = Dimensions((3, 2))
-    rng = np.random.default_rng(3)
-    sums = CellSums(dims, rng.normal(size=(6, 2)))
-    w = draw_weights(dims, rng)
-    weights = w.cell_weights()
-    # literally replicate each cell W_j times and re-sum the pooled total
-    replicated = np.repeat(sums.values, weights, axis=0)
-    np.testing.assert_array_equal(
-        weighted_cell_sums(sums, w).values.sum(axis=0), replicated.sum(axis=0)
-    )
-
-
-def test_weighted_cell_sums_dims_mismatch():
-    sums = CellSums(Dimensions((2, 2)), np.zeros((4, 1)))
-    w = PigeonholeWeights.identity(Dimensions((4,)))
-    with pytest.raises(ShapeError):
-        weighted_cell_sums(sums, w)
 
 
 def test_run_bootstrap_constant_estimator():

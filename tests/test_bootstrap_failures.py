@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from multiway import CellSums, Dimensions, load_sample, run_bootstrap
-from multiway.errors import ConvergenceError
+from multiway.errors import ConvergenceError, InsufficientReplicatesError
 from multiway.gmm import MomentModel, gmm_bootstrap_estimator, gmm_fit
 
 
@@ -89,3 +89,24 @@ def test_numerical_failure_counts_as_failed_replicate(exc):
         reps = run_bootstrap(hook, sums(), b=40, seed=3)
     assert 0 < reps.n_failed < 40
     assert reps.thetas.shape == (40 - reps.n_failed, 1)
+
+
+def test_all_failed_replicates_are_counted_by_exception_class():
+    seen = []
+
+    def hook(s, w):
+        if is_identity(w):
+            return np.array([1.0])
+        seen.append(len(seen))
+        if len(seen) % 3 == 0:
+            return np.array([np.nan])
+        if len(seen) % 3 == 1:
+            raise ConvergenceError(f"start {len(seen)} did not converge")
+        raise np.linalg.LinAlgError("singular")
+
+    with pytest.warns(RuntimeWarning), pytest.raises(InsufficientReplicatesError) as info:
+        run_bootstrap(hook, sums(), b=7, seed=3)
+    assert str(info.value) == (
+        "b: all 7 bootstrap replicates failed (ConvergenceError x3, LinAlgError x2, "
+        "non-finite estimate x2); first: ConvergenceError: start 1 did not converge"
+    )

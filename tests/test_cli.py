@@ -262,7 +262,9 @@ def test_bootstrap_refuses_b_below_the_percentile_minimum(tmp_path, capsys):
          "--seed", "1", "--out", tmp_path / "x"]
     )
     assert code == 2
-    assert "need b >= 40" in capsys.readouterr().err
+    assert capsys.readouterr().err.splitlines()[-1] == (
+        "error: --b: 20 replicates cannot resolve --alpha 0.05; need at least 40"
+    )
     assert list(tmp_path.glob("x*")) == []
 
 
@@ -359,40 +361,63 @@ def test_seed_is_printed(tmp_path, capsys):
     assert "seed: 123" in capsys.readouterr().err
 
 
+NAN_OUTCOME = "1,1,1.0,0.5\n1,2,nan,1.0\n2,1,2.0,1.5\n2,2,4.0,3.0\n"
+INF_REGRESSOR = "1,1,1.0,0.5\n1,2,0.0,inf\n2,1,1.0,1.5\n2,2,0.0,3.0\n"
+NAN_IN_CELL_1_2 = "non-finite data: observation column 0 is nan in cell (1, 2)"
+INF_IN_CELL_1_2 = "non-finite data: observation column 1 is inf in cell (1, 2)"
+
+# case -> (rows, argv after the input and dims, the error); estimators.fit
+# refuses the first non-finite value for every estimator, before any fitting
 NON_FINITE = {
-    # one inf regressor: the Gram matrix has NaN eigenvalues
     "ols-inf-regressor": (
-        "1,1,1.0,0.5\n1,2,2.0,inf\n2,1,3.0,1.5\n2,2,5.0,3.0\n",
-        ["--estimator", "ols", "--regressors", "1"],
-        "Gram matrix is singular",
+        INF_REGRESSOR, ["estimate", "--estimator", "ols", "--regressors", "1"], INF_IN_CELL_1_2
     ),
-    # one nan outcome: the variance has NaN eigenvalues
-    "ratio-nan-outcome": (
-        "1,1,1.0,0.5\n1,2,nan,1.0\n2,1,2.0,1.5\n2,2,4.0,3.0\n",
-        ["--estimator", "ratio"],
-        "variance estimate is singular",
-    ),
-    # one nan in the quantile's coordinate: it would sort last and go unnoticed
+    "ratio-nan-outcome": (NAN_OUTCOME, ["estimate", "--estimator", "ratio"], NAN_IN_CELL_1_2),
+    # a NaN would sort last and go unnoticed by the quantile
     "quantile-nan-outcome": (
-        "1,1,1.0,0.5\n1,2,nan,1.0\n2,1,2.0,1.5\n2,2,4.0,3.0\n",
-        ["--estimator", "quantile"],
-        "coordinate 0: values are not all finite",
+        NAN_OUTCOME, ["estimate", "--estimator", "quantile"], NAN_IN_CELL_1_2
+    ),
+    # not "every bootstrap replicate failed" (exit 2)
+    "bootstrap-ratio-nan-outcome": (
+        NAN_OUTCOME, ["bootstrap", "--estimator", "ratio", "--b", "40"], NAN_IN_CELL_1_2
+    ),
+    # not an exhausted Gauss-Newton budget (exit 5)
+    "gmm-probit-inf-regressor": (
+        INF_REGRESSOR,
+        ["estimate", "--estimator", "gmm", "--model-config", "{model}"],
+        INF_IN_CELL_1_2,
     ),
 }
 
 
 @pytest.mark.parametrize("case", list(NON_FINITE))
 def test_non_finite_input_exits_4_writing_nothing(case, tmp_path, capsys):
-    rows, flags, matrix = NON_FINITE[case]
+    rows, argv, message = NON_FINITE[case]
     data = tmp_path / "d.csv"
     data.write_text("dim1,dim2,y1,y2\n" + rows)
+    model = tmp_path / "m.json"
+    write_json(model, {"family": "probit", "outcome_index": 0, "x_index": 1})
+    out_dir = tmp_path / "out"
+    out_dir.mkdir()
+    command, *flags = [a.format(model=model) for a in argv]
     capsys.readouterr()
-    assert run(["estimate", "--input", data, "--dims", "2,2", *flags,
-                "--out", tmp_path / "e.json"]) == 4
+    assert run([command, "--input", data, "--dims", "2,2", *flags,
+                "--out", out_dir / "e"]) == 4
     err = capsys.readouterr().err
     assert "Traceback" not in err
-    assert err.splitlines()[-1].startswith(f"error: {matrix}")
-    assert [p.name for p in tmp_path.iterdir()] == ["d.csv"]
+    assert err.splitlines()[-1] == f"error: {message}"
+    assert not list(out_dir.iterdir())
+
+
+def test_unknown_variance_kind_exits_2_naming_the_flag(tmp_path, capsys):
+    data = simulate(tmp_path)
+    capsys.readouterr()
+    assert run(["estimate", "--input", data, "--dims", "5,5", "--variance", "v1,v3",
+                "--out", tmp_path / "e.json"]) == 2
+    assert capsys.readouterr().err.splitlines()[-1] == (
+        "error: --variance: unknown kind 'v3'; expected v1, v2 or cgm"
+    )
+    assert not (tmp_path / "e.json").exists()
 
 
 # case -> (file name, bytes, argv, the error's start); in the argv "{path}"

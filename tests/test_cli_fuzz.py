@@ -11,7 +11,9 @@ fixture files (CSV, JSON, empty, binary, missing). Every run must:
 - let no exception escape ``main`` except argparse's ``SystemExit(2)``;
 - exit with 0, 2, 3, 4 or 5;
 - print no traceback;
-- leave no output file behind when it exits nonzero.
+- leave no output file behind when it exits nonzero;
+- when it exits 2, name what to fix in its last stderr line: a flag, a
+  field of a config or dataset document, or a file the argv names.
 
 The draws stay small: every lattice has at most 10^4 cells or more than
 ``MAX_CELLS`` (refused before allocation), worker counts are 1, 2 or
@@ -22,6 +24,7 @@ most. The examples are derandomized, so every run checks the same ones.
 import contextlib
 import io
 import json
+import re
 import tempfile
 import warnings
 from pathlib import Path
@@ -36,6 +39,38 @@ EXIT_CODES = {0, 2, 3, 4, 5}
 EDGE = ["0", "-1", "1.5", "nan", "inf", "", "unknown"]
 # 20000 x 20000 is over MAX_CELLS; every other lattice drawn has at most 10^4 cells
 BAD_DIMS = ["0,4", "-1,4", "1.5", "", "a", "20000,20000"]
+
+FLAGS = {
+    "--input", "--dims", "--seed", "--estimator", "--outcome", "--regressors", "--no-intercept",
+    "--tau", "--coordinate", "--model-config", "--variance", "--alpha", "--adjustment", "--out",
+    "--b", "--workers", "--config", "--dgp", "--sigma-factors", "--sigma-cell", "--sigma-unit",
+    "--cell-sizes", "--beta", "--error-rho",
+}
+# The fields of the model, mc and dataset documents; "config" for the whole
+# document; and the names the library gives the parameters behind flags
+# (``b`` for --b, ``regressor_indices`` for --regressors, ...).
+# A nested field is named by its dotted path, so only the top-level names
+# are listed.
+FIELDS = {
+    "family", "outcome_index", "x_index", "tau", "x_indices", "z_indices", "bounds", "xi",
+    "optimizer", "seed", "dgp", "variant", "sigma_factors", "sigma_cell", "sigma_unit",
+    "cell_sizes", "beta", "error_rho", "dims", "replications", "alpha", "methods",
+    "bootstrap_b", "estimator", "adjustment", "units", "config",
+    "b", "regressor_indices", "coordinate", "variance", "MULTIWAY_WORKERS",
+}
+
+
+def names_what_to_fix(line: str, argv) -> bool:
+    """Whether an error line names a flag anywhere, a file of ``argv``
+    anywhere, or a field in its subject (the text before the first ": ")."""
+    message = line.split("error: ", 1)[-1]
+    if FLAGS & set(re.findall(r"--[a-z-]+", message)):
+        return True
+    if any(str(a) in message for a in argv if isinstance(a, Path)):
+        return True
+    subject, colon, _ = message.partition(": ")
+    return bool(colon) and bool(FIELDS & set(re.split(r"[\s.,]+", subject)))
+
 
 FUZZ = settings(
     max_examples=150,
@@ -84,6 +119,8 @@ def run(argv, out_dir: Path) -> int:
     text = err.getvalue()
     assert "Traceback" not in text, text
     assert code in EXIT_CODES, (code, text)
+    if code == 2:
+        assert names_what_to_fix(text.splitlines()[-1], argv), text
     if code != 0:
         assert not list(out_dir.iterdir()), (code, text)
     return code

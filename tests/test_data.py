@@ -4,20 +4,23 @@ import numpy as np
 import pytest
 
 from multiway import (
-    CellStatistic,
     CellSums,
     Dimensions,
     ShapeError,
     cell_sums,
-    count_statistic,
-    identity_statistic,
     load_sample,
-    margin_sum,
     pair_counts,
     subset_margin_sum,
 )
+from multiway.data import sample_from_cell_ids
 
 from oracles import all_coords, count_pairs, margin_by_loop
+
+
+def cell_rows(sample, coords):
+    """Observation rows of one cell (1-based coordinates), input order."""
+    c = sample.dims.flat_index(coords)
+    return sample.values[sample.offsets[c] : sample.offsets[c + 1]]
 
 
 def make_random_sample(rng, counts, n_records, obs_dim=1):
@@ -33,8 +36,8 @@ def test_load_sample_direct_placement():
     dims = Dimensions((2, 2))
     sample = load_sample([((1, 1), [2.0]), ((2, 2), [3.0])], dims)
     assert sample.cell_sizes.tolist() == [1, 0, 0, 1]
-    assert sample.cell((1, 1)).tolist() == [[2.0]]
-    assert sample.cell((2, 2)).tolist() == [[3.0]]
+    assert cell_rows(sample, (1, 1)).tolist() == [[2.0]]
+    assert cell_rows(sample, (2, 2)).tolist() == [[3.0]]
 
 
 def test_load_sample_empty_input():
@@ -59,7 +62,7 @@ def test_load_sample_preserves_order_within_cell():
     sample = load_sample(
         [((1, 2), [1.0]), ((1, 1), [5.0]), ((1, 2), [2.0]), ((1, 2), [3.0])], dims
     )
-    assert sample.cell((1, 2))[:, 0].tolist() == [1.0, 2.0, 3.0]
+    assert cell_rows(sample, (1, 2))[:, 0].tolist() == [1.0, 2.0, 3.0]
 
 
 def test_load_sample_errors():
@@ -73,22 +76,23 @@ def test_load_sample_errors():
 def test_cell_sums_two_units():
     dims = Dimensions((1, 1))
     sample = load_sample([((1, 1), [2.0]), ((1, 1), [3.0])], dims)
-    sums = cell_sums(sample, identity_statistic(1))
+    sums = cell_sums(sample)
     assert sums.values.tolist() == [[5.0]]
 
 
 def test_cell_sums_counting_statistic_recovers_sizes():
     rng = np.random.default_rng(11)
     _, sample = make_random_sample(rng, (3, 4), 60)
-    sums = cell_sums(sample, count_statistic())
+    ones = sample_from_cell_ids(sample.dims, sample.unit_cell_ids, np.ones((60, 1)))
+    sums = cell_sums(ones)
     np.testing.assert_array_equal(sums.values[:, 0], sample.cell_sizes)
 
 
 def test_cell_sums_square_matches_loop_oracle():
     rng = np.random.default_rng(13)
     _, sample = make_random_sample(rng, (3, 3), 40, obs_dim=2)
-    stat = CellStatistic(lambda v: v**2, 2)
-    sums = cell_sums(sample, stat)
+    squares = sample_from_cell_ids(sample.dims, sample.unit_cell_ids, sample.values**2)
+    sums = cell_sums(squares)
     expected = np.zeros_like(sums.values)
     for flat in range(sample.dims.pi_c):
         for row in sample.values[sample.offsets[flat] : sample.offsets[flat + 1]]:
@@ -96,25 +100,18 @@ def test_cell_sums_square_matches_loop_oracle():
     np.testing.assert_allclose(sums.values, expected, rtol=1e-12)
 
 
-def test_cell_sums_bad_stat_dimension():
-    dims = Dimensions((2,))
-    sample = load_sample([((1,), [1.0])], dims)
-    with pytest.raises(ShapeError):
-        cell_sums(sample, CellStatistic(lambda v: v, 3))
-
-
 def test_margin_sum_rows_and_columns():
     dims = Dimensions((2, 2))
     sums = CellSums(dims, np.array([[1.0], [2.0], [3.0], [4.0]]))
-    np.testing.assert_array_equal(margin_sum(sums, 0), [[3.0], [7.0]])
-    np.testing.assert_array_equal(margin_sum(sums, 1), [[4.0], [6.0]])
+    np.testing.assert_array_equal(subset_margin_sum(sums, (0,)), [[3.0], [7.0]])
+    np.testing.assert_array_equal(subset_margin_sum(sums, (1,)), [[4.0], [6.0]])
 
 
 def test_margin_sum_matches_enumeration():
     rng = np.random.default_rng(5)
     dims = Dimensions((3, 4, 2))
     sums = CellSums(dims, rng.normal(size=(dims.pi_c, 2)))
-    got = margin_sum(sums, 1)
+    got = subset_margin_sum(sums, (1,))
     expected = margin_by_loop(sums.grid(), dims.counts, 1)
     np.testing.assert_allclose(got, expected, rtol=1e-12)
 
@@ -126,14 +123,14 @@ def test_margin_sum_total_is_preserved():
     total = sums.values.sum(axis=0)
     for axis in range(dims.k):
         np.testing.assert_allclose(
-            margin_sum(sums, axis).sum(axis=0), total, rtol=1e-12
+            subset_margin_sum(sums, (axis,)).sum(axis=0), total, rtol=1e-12
         )
 
 
 def test_margin_sum_axis_out_of_range():
     sums = CellSums(Dimensions((2, 2)), np.zeros((4, 1)))
     with pytest.raises(IndexError):
-        margin_sum(sums, 2)
+        subset_margin_sum(sums, (2,))
 
 
 def test_subset_margin_full_and_singleton():
@@ -141,7 +138,9 @@ def test_subset_margin_full_and_singleton():
     dims = Dimensions((2, 3, 2))
     sums = CellSums(dims, rng.normal(size=(dims.pi_c, 2)))
     np.testing.assert_array_equal(subset_margin_sum(sums, (0, 1, 2)), sums.values)
-    np.testing.assert_array_equal(subset_margin_sum(sums, (1,)), margin_sum(sums, 1))
+    np.testing.assert_allclose(
+        subset_margin_sum(sums, (1,)), margin_by_loop(sums.grid(), dims.counts, 1), rtol=1e-12
+    )
 
 
 def test_subset_margin_matches_enumeration():
@@ -193,4 +192,4 @@ def test_dimensions_validation():
         Dimensions((2, 0))
     dims = Dimensions((3, 4))
     assert dims.pi_c == 12 and dims.c_min == 3
-    assert dims.coords_of(dims.flat_index((2, 3))) == (2, 3)
+    assert np.unravel_index(dims.flat_index((2, 3)), dims.counts) == (1, 2)

@@ -29,7 +29,7 @@ def reference_write(path, sample):
             + [f"y{j + 1}" for j in range(sample.obs_dim)]
         )
         for flat in range(dims.pi_c):
-            coords = dims.coords_of(flat)
+            coords = [int(c) + 1 for c in np.unravel_index(flat, dims.counts)]
             for row in sample.values[sample.offsets[flat] : sample.offsets[flat + 1]]:
                 writer.writerow(list(coords) + [repr(float(v)) for v in row])
 
@@ -162,7 +162,7 @@ def row_text(sample):
     lines = [",".join([f"dim{i + 1}" for i in range(dims.k)]
                       + [f"y{j + 1}" for j in range(sample.obs_dim)])]
     for flat in range(dims.pi_c):
-        coords = ",".join(map(str, dims.coords_of(flat)))
+        coords = ",".join(str(int(c) + 1) for c in np.unravel_index(flat, dims.counts))
         for y in sample.values[sample.offsets[flat] : sample.offsets[flat + 1]].tolist():
             lines.append(coords + "," + ",".join(map(repr, y)))
     return "\n".join(lines) + "\n"

@@ -11,7 +11,6 @@ from multiway import (
     PigeonholeWeights,
     SingularDesignError,
     draw_weights,
-    ecdf_eval,
     load_sample,
     mean_estimate,
     ols_fit,
@@ -20,7 +19,7 @@ from multiway import (
     ratio_estimate,
 )
 from multiway.estimators import (
-    ols_cell_data,
+    OlsCellData,
     quantile_data,
     ratio_cell_sums,
     weighted_mean,
@@ -28,7 +27,7 @@ from multiway.estimators import (
     weighted_quantile,
     weighted_ratio,
 )
-from multiway.data import cell_sums, identity_statistic
+from multiway.data import cell_sums
 
 from oracles import all_coords, vhat1_pairs
 
@@ -78,7 +77,7 @@ def test_mean_scores_sum_to_zero():
 def test_weighted_mean_identity_reproduces_theta():
     rng = np.random.default_rng(47)
     sample = random_sample(rng, (3, 3), 50)
-    sums = cell_sums(sample, identity_statistic(1))
+    sums = cell_sums(sample)
     res = mean_estimate(sample)
     got = weighted_mean(sums, PigeonholeWeights.identity(sample.dims))
     np.testing.assert_array_equal(got, res.theta)
@@ -227,7 +226,7 @@ def test_weighted_ols_identity_reproduces_theta():
     sample = make_linear_sample(rng, (3, 3), 50, np.array([1.0, -1.0]), noise=0.5)
     spec = LinearModelSpec(0, (1,))
     res = ols_fit(sample, spec)
-    data = ols_cell_data(sample, spec)
+    data = OlsCellData(sample, *spec.design(sample.values))
     got = weighted_ols(data, PigeonholeWeights.identity(sample.dims))
     np.testing.assert_allclose(got, res.theta, rtol=1e-12)
 
@@ -236,7 +235,7 @@ def test_weighted_ols_matches_replication_oracle():
     rng = np.random.default_rng(103)
     sample = make_linear_sample(rng, (3, 2), 30, np.array([0.5, 2.0]), noise=1.0)
     spec = LinearModelSpec(0, (1,))
-    data = ols_cell_data(sample, spec)
+    data = OlsCellData(sample, *spec.design(sample.values))
     w = draw_weights(sample.dims, rng)
     weights = w.cell_weights()
     unit_w = weights[sample.unit_cell_ids].astype(float)
@@ -247,7 +246,7 @@ def test_weighted_ols_matches_replication_oracle():
     np.testing.assert_allclose(weighted_ols(data, w), expected, rtol=1e-10)
 
 
-# -- ECDF / quantiles --------------------------------------------------
+# -- quantiles ---------------------------------------------------------
 
 
 def pooled_sample(values, counts=(2, 2)):
@@ -258,45 +257,9 @@ def pooled_sample(values, counts=(2, 2)):
     return load_sample(records, Dimensions(counts))
 
 
-def test_ecdf_boundaries():
-    sample = pooled_sample([1.0, 2.0, 3.0, 4.0])
-    spec = EcdfSpec()
-    assert ecdf_eval(sample, spec, 0.5) == 0.0
-    assert ecdf_eval(sample, spec, 9.0) == 1.0
-
-
-def test_ecdf_midpoint():
-    sample = pooled_sample([1.0, 2.0, 3.0, 4.0])
-    assert ecdf_eval(sample, EcdfSpec(), 2.5) == 0.5
-
-
-def test_ecdf_matches_sort_count_oracle_with_ties():
-    rng = np.random.default_rng(107)
-    values = rng.integers(0, 5, size=60).astype(float)
-    sample = pooled_sample(values, (3, 2))
-    spec = EcdfSpec()
-    for y in [-1.0, 0.0, 2.0, 2.5, 4.0, 6.0]:
-        assert ecdf_eval(sample, spec, y) == np.mean(values <= y)
-
-
-def test_ecdf_monotone():
-    rng = np.random.default_rng(109)
-    sample = pooled_sample(rng.normal(size=50), (5, 2))
-    grid = np.linspace(-3, 3, 41)
-    vals = ecdf_eval(sample, EcdfSpec(), grid)
-    assert np.all(np.diff(vals) >= 0)
-
-
-def test_ecdf_joint_componentwise():
-    records = [((1, 1), [0.0, 0.0]), ((1, 2), [1.0, 2.0]), ((2, 1), [2.0, 1.0])]
-    sample = load_sample(records, Dimensions((2, 2)))
-    spec = EcdfSpec(coordinate=(0, 1))
-    assert ecdf_eval(sample, spec, [1.0, 2.0]) == pytest.approx(2 / 3)
-
-
-def test_ecdf_empty_sample():
-    with pytest.raises(EmptySampleError):
-        ecdf_eval(load_sample([], Dimensions((2, 2))), EcdfSpec(), 0.0)
+def ecdf(values, y):
+    """Fraction of the pooled values <= y."""
+    return float(np.mean(np.asarray(values) <= y))
 
 
 def test_quantile_odd_count_median():
@@ -322,10 +285,10 @@ def test_quantile_generalized_inverse_invariants():
     spec = EcdfSpec()
     for tau in (0.1, 0.25, 0.5, 0.8, 0.95):
         theta = quantile_estimate(sample, spec, tau).theta[0]
-        assert ecdf_eval(sample, spec, theta) >= tau
+        assert ecdf(values, theta) >= tau
         below = values[values < theta]
         if below.size:
-            assert ecdf_eval(sample, spec, below.max()) < tau
+            assert ecdf(values, below.max()) < tau
 
 
 def test_weighted_quantile_identity_and_replication_oracle():

@@ -11,13 +11,13 @@ from multiway import (
     CenteredScores,
     Dimensions,
     draw_weights,
-    margin_sum,
     pair_counts,
+    subset_margin_sum,
     vhat1,
     vhat2,
     vhat_cgm,
 )
-from multiway.bootstrap import weighted_cell_sums
+from multiway.estimators import weighted_mean
 from multiway.seeding import stream_rng
 
 dims_strategy = st.lists(st.integers(min_value=2, max_value=5), min_size=1, max_size=3).map(
@@ -37,7 +37,7 @@ def test_margin_sums_preserve_totals(dims, seed):
     total = sums.values.sum(axis=0)
     for axis in range(dims.k):
         np.testing.assert_allclose(
-            margin_sum(sums, axis).sum(axis=0), total, rtol=1e-12, atol=1e-12
+            subset_margin_sum(sums, (axis,)).sum(axis=0), total, rtol=1e-12, atol=1e-12
         )
 
 
@@ -56,7 +56,7 @@ def test_weighted_sums_match_replication(dims, seed):
     rng = np.random.default_rng(seed)
     sums = CellSums(dims, rng.normal(size=(dims.pi_c, 1)))
     w = draw_weights(dims, stream_rng(seed, 1))
-    resampled = weighted_cell_sums(sums, w).values.sum(axis=0)
+    resampled = weighted_mean(sums, w) * dims.pi_c
     replicated = np.repeat(sums.values, w.cell_weights(), axis=0).sum(axis=0)
     np.testing.assert_allclose(resampled, replicated, rtol=1e-12, atol=1e-12)
 

@@ -12,6 +12,7 @@ from multiway import (
     EcdfSpec,
     LinearModelSpec,
     PigeonholeWeights,
+    SingularDesignError,
     UnsupportedError,
     mean_estimate,
     ols_fit,
@@ -115,6 +116,17 @@ def test_unknown_variance_kind_is_config_error(kind, fitted):
 def test_quantile_has_no_analytic_variance(vkind, fitted):
     with pytest.raises(UnsupportedError):
         fitted["quantile"].variance(vkind)
+
+
+@pytest.mark.parametrize("bad", [np.nan, -np.inf])
+@pytest.mark.parametrize("kind", list(CASES))
+def test_fit_refuses_non_finite_data_naming_column_and_cell(kind, bad, sample):
+    values = sample.values.copy()
+    values[sample.offsets[5], 1] = bad  # flat cell 5 of the 7 x 6 lattice is (1, 6)
+    broken = ClusteredSample(sample.dims, values, sample.offsets)
+    message = rf"^non-finite data: observation column 1 is {bad!r} in cell \(1, 6\)$"
+    with pytest.raises(SingularDesignError, match=message):
+        fit(kind, broken, **CASES[kind][0])
 
 
 def test_unknown_estimator_is_config_error(sample):

@@ -7,8 +7,8 @@ from types import SimpleNamespace
 import numpy as np
 
 from multiway import Dimensions, LinearModelSpec, load_sample, run_bootstrap
-from multiway.data import cell_sums, count_statistic
-from multiway.estimators import fit, ols_cell_data, ratio_cell_sums, weighted_ols
+from multiway.data import cell_sums, sample_from_cell_ids
+from multiway.estimators import OlsCellData, fit, ratio_cell_sums, weighted_ols
 
 from oracles import all_coords
 
@@ -31,7 +31,8 @@ def test_run_bootstrap_calls_the_hook_only_on_the_callers_thread():
         seen.append(threading.get_ident())
         return weighted_ols(data, weights)
 
-    reps = run_bootstrap(hook, ols_cell_data(sample, LinearModelSpec(0, (1,))), 40, 7)
+    data = OlsCellData(sample, *LinearModelSpec(0, (1,)).design(sample.values))
+    reps = run_bootstrap(hook, data, 40, 7)
     assert reps.n_failed == 0
     assert len(seen) == 41  # the identity estimate, then 40 replicates
     assert set(seen) == {threading.get_ident()}
@@ -59,7 +60,7 @@ def test_fit_ols_builds_the_cell_blocks_when_the_hook_first_reads_them():
 
     eager_data = SimpleNamespace(dims=sample.dims, xtx=xtx, xty=xty)
     eager = run_bootstrap(weighted_ols, eager_data, 30, 11)
-    fresh = run_bootstrap(weighted_ols, ols_cell_data(sample, spec), 30, 11)
+    fresh = run_bootstrap(weighted_ols, OlsCellData(sample, *spec.design(sample.values)), 30, 11)
     for other in (eager, fresh):
         np.testing.assert_array_equal(reps.thetas, other.thetas)
         np.testing.assert_array_equal(reps.indices, other.indices)
@@ -68,6 +69,7 @@ def test_fit_ols_builds_the_cell_blocks_when_the_hook_first_reads_them():
 def test_ratio_cell_sums_last_column_is_the_count_statistic_sum():
     for sample in (linear_sample(3), load_sample([], Dimensions((2, 3)), obs_dim=2)):
         sums = ratio_cell_sums(sample).values
-        counts = cell_sums(sample, count_statistic()).values
+        ones = np.ones((sample.n_units, 1))
+        counts = cell_sums(sample_from_cell_ids(sample.dims, sample.unit_cell_ids, ones)).values
         assert sums.dtype == np.float64
         np.testing.assert_array_equal(sums[:, -1:], counts)
