@@ -268,7 +268,7 @@ def cmd_estimate(args) -> int:
     sample = _load_input(args)
     fitted = _fit(args, sample)
     if kinds is None:
-        kinds = [] if fitted.kind == "quantile" else ["v1"]
+        kinds = ["v1"] if fitted.has_variance else []
     variances = {}
     regions = {}
     for vkind in kinds:
@@ -464,7 +464,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--variance",
         default=None,
-        help="comma list from v1,v2,cgm (default v1; quantiles have none)",
+        help="comma list from v1,v2,cgm (default v1 where the fit has an analytic "
+        "variance; quantiles and nonsmooth GMM models have none)",
     )
     p.add_argument("--alpha", type=float, default=0.05)
     p.add_argument("--adjustment", default="unit", choices=ADJUSTMENTS)

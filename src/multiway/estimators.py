@@ -83,6 +83,13 @@ class Fitted:
     prepared: object
     meta: dict
 
+    @property
+    def has_variance(self) -> bool:
+        """Whether :meth:`variance` has what it needs: False for quantiles,
+        which have no scores, and for a nonsmooth GMM fit, whose bread has
+        no Jacobian."""
+        return self.scores is not None and self.bread is not _no_jacobian
+
     def variance(self, kind: str, adjustment: str = "unit") -> VarianceEstimate:
         """Variance of theta: the :func:`estimate_variance` meat of the
         scores first, then the bread."""

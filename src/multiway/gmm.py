@@ -509,13 +509,15 @@ def gmm_bootstrap_estimator(
     model: MomentModel,
     xi: WeightMatrix | None = None,
     config: OptimizerConfig | None = None,
-    warm_start: np.ndarray | None = None,
+    *,
+    warm_start: np.ndarray,
 ) -> Callable[[ClusteredSample, PigeonholeWeights], np.ndarray]:
     """Weighted re-estimation hook for :func:`multiway.bootstrap.run_bootstrap`.
 
     Every per-cell moment sum is multiplied by the cell weight W_j
-    (equivalent to replicating cells). ``warm_start`` (typically the full-
-    sample estimate) replaces the default multistart for speed.
+    (equivalent to replicating cells). Every replicate starts from
+    ``warm_start`` alone (typically the full-sample estimate), not from the
+    multistart of ``config``.
 
     Each replicate re-optimizes on the units of the cells with W_j != 0
     only (about 60% of the cells of a 2-way design draw W_j = 0), keeping
@@ -526,9 +528,9 @@ def gmm_bootstrap_estimator(
     no unit has a nonzero weight the full sample is used, and for
     identity weights the sample itself.
 
-    For a smooth model with a ``warm_start``, the per-unit moment and
-    Jacobian rows at the warm start are computed once, on the first
-    sample the hook sees, and kept while it sees the same sample object;
+    For a smooth model, the per-unit moment and Jacobian rows at the warm
+    start are computed once, on the first sample the hook sees, and kept
+    while it sees the same sample object;
     each replicate weights and sums the rows of its units for its first
     residual and Jacobian instead of calling the model.
 
@@ -541,11 +543,9 @@ def gmm_bootstrap_estimator(
     """
     xi = xi or WeightMatrix.identity(model.n_moments)
     config = config or OptimizerConfig()
-    starts = None if warm_start is None else [np.asarray(warm_start, dtype=np.float64)]
-    # Gauss-Newton's first point, where the warm-start rows are taken
-    anchor = None
-    if starts is not None and model.smooth:
-        anchor = np.clip(starts[0], model.bounds[:, 0], model.bounds[:, 1])
+    starts = [np.asarray(warm_start, dtype=np.float64)]
+    # Gauss-Newton's first point, where a smooth model's warm-start rows are taken
+    anchor = np.clip(starts[0], model.bounds[:, 0], model.bounds[:, 1]) if model.smooth else None
     full = None  # (sample, its _warm_rows at anchor), replaced whole
 
     def estimator(sample: ClusteredSample, weights: PigeonholeWeights) -> np.ndarray:

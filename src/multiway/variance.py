@@ -4,9 +4,11 @@ All three estimators consume a dense array of per-cell score vectors D_j
 (centered cell sums for means, linearized scores for ratios, per-cell
 score sums for regression or moment models) and target the asymptotic
 variance sum_i lambda_i Cov(S_1, S_2_i) with plug-in weights
-lambda_i = c_min / C_i. Pair sums over cells sharing clusters are never
-enumerated; they are collapsed to margin sums, so everything is
-O(pi_c * m) per dimension subset.
+lambda_i = c_min / C_i. Each estimator is a weighted sum of the pair sums
+P_T over cells agreeing on the dimensions in T. Pairs are never
+enumerated: P_T = M_T'M_T for the joint margin sums M_T, which costs
+O(pi_c * m) per dimension subset, and each P_T is computed once per score
+set, on first request, and shared by every estimator that reads it.
 
 ``wald_region`` imports ``scipy.special`` for its quantiles when first
 called, so importing this module loads numpy only.
@@ -17,6 +19,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Sequence
 
 import numpy as np
@@ -67,7 +70,26 @@ class CenteredScores(CellSums):
     Same dense layout as :class:`CellSums`. For mean-type estimators the
     scores sum to (numerically) zero across cells; regression and moment
     scores are used as-is.
+
+    The pair sums are kept once computed, so ``values`` must not change in
+    place after the first estimate; no code in this package does so.
     """
+
+    @cached_property
+    def _pair_sums(self) -> dict[tuple[int, ...], np.ndarray]:
+        return {}
+
+    def pair_sum(self, axes: Sequence[int]) -> np.ndarray:
+        """P_T, the sum of D_j D_j' over cell pairs agreeing on every axis in
+        ``axes`` (in any order): M'M for the joint margin sums M, computed
+        on the first request and returned read-only."""
+        key = tuple(sorted({int(a) for a in axes}))
+        table = self._pair_sums
+        if key not in table:
+            m = subset_margin_sum(self, key)
+            table[key] = m.T @ m
+            table[key].flags.writeable = False
+        return table[key]
 
 
 @dataclass(frozen=True)
@@ -92,26 +114,17 @@ class VarianceEstimate:
         }
 
 
-def _pair_sum(scores: CellSums, axes: Sequence[int]) -> np.ndarray:
-    """sum over pairs (j, j') agreeing on every axis in ``axes`` of D_j D_j'.
-
-    Equals M'M for the joint margin sums M, which is how it is computed.
-    """
-    m = subset_margin_sum(scores, axes)
-    return m.T @ m
-
-
-def _combine(scores: CellSums, coef: Callable[[tuple[int, ...]], float]) -> np.ndarray:
-    """sum of coef(T) * (pair sum over cells agreeing on T) over the nonempty
-    axis subsets T, by size and then lexicographically; a zero coefficient
-    skips its pair sum. Every variance estimator is one coefficient row."""
+def _combine(scores: CenteredScores, coef: Callable[[tuple[int, ...]], float]) -> np.ndarray:
+    """sum of coef(T) * P_T over the nonempty axis subsets T, by size and
+    then lexicographically; a zero coefficient skips its pair sum. Every
+    variance estimator is one coefficient row."""
     k = scores.dims.k
     out = np.zeros((scores.out_dim, scores.out_dim))
     for r in range(1, k + 1):
         for axes in itertools.combinations(range(k), r):
             c = coef(axes)
             if c:
-                out += c * _pair_sum(scores, axes)
+                out += c * scores.pair_sum(axes)
     return out
 
 
@@ -141,7 +154,7 @@ def vhat2(scores: CenteredScores) -> VarianceEstimate:
     sum is the inclusion-exclusion over the subsets containing i, so the
     estimator is one coefficient row: subset T gets
     (-1)^(|T|-1) * sum over i in T of lambda_i / |A_i|, and each pair sum
-    is computed once. Not necessarily positive semidefinite.
+    is read once. Not necessarily positive semidefinite.
     """
     dims = scores.dims
     if dims.k >= 2:
@@ -220,10 +233,8 @@ def estimate_variance(
 
 def sigma_subset(scores: CenteredScores, axes: Sequence[int]) -> np.ndarray:
     """One inclusion-exclusion building block: 1 / pi_c^2 times the pair
-    sum over cells agreeing on every axis in ``axes``."""
-    if not axes:
-        raise ValueError("axes subset must be nonempty")
-    return 1.0 / scores.dims.pi_c**2 * _pair_sum(scores, axes)
+    sum over cells agreeing on every axis in ``axes`` (nonempty)."""
+    return 1.0 / scores.dims.pi_c**2 * scores.pair_sum(axes)
 
 
 def _invert_pd(matrix: np.ndarray, what: str) -> np.ndarray:

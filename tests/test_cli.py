@@ -178,6 +178,28 @@ def test_estimate_gmm_quantile_iv(tmp_path):
     assert abs(doc["theta"][0] - 1.5) < 1.0
 
 
+def test_estimate_nonsmooth_gmm_defaults_to_no_variance(tmp_path, capsys):
+    data = simulate(tmp_path, "p.csv", seed=4, dgp="probit")
+    model = tmp_path / "model.json"
+    write_json(
+        model,
+        {"family": "quantile_iv", "tau": 0.5, "outcome_index": 0,
+         "x_indices": [1], "z_indices": [1]},
+    )
+    argv = ["estimate", "--input", data, "--dims", "5,5", "--estimator", "gmm",
+            "--model-config", model]
+    out = tmp_path / "g.json"
+    assert run([*argv, "--out", out]) == 0
+    doc = json.loads(out.read_text())
+    assert doc["variance"] == {} and doc["wald"] == {}
+    capsys.readouterr()
+    assert run([*argv, "--variance", "v1", "--out", tmp_path / "v1.json"]) == 2
+    assert capsys.readouterr().err.splitlines()[-1] == (
+        "error: variance: nonsmooth model has no Jacobian; use the bootstrap"
+    )
+    assert not (tmp_path / "v1.json").exists()
+
+
 def test_estimate_gmm_model_config_missing_field(tmp_path):
     data = simulate(tmp_path, seed=36)
     model = tmp_path / "model.json"

@@ -1,5 +1,6 @@
 """Every estimator returns a `Fitted`, and `fit` is a thin dispatch over them;
-`vhat2` is one coefficient row that computes each pair sum once."""
+the variance estimators are coefficient rows over one pair-sum table per
+score set, which computes each pair sum once."""
 
 import itertools
 from dataclasses import fields
@@ -8,6 +9,7 @@ import numpy as np
 import pytest
 
 import multiway.estimators
+import multiway.simulation
 import multiway.variance
 from multiway import (
     CenteredScores,
@@ -21,10 +23,15 @@ from multiway import (
     ols_sandwich,
     quantile_estimate,
     ratio_estimate,
+    sigma_subset,
+    vhat1,
     vhat2,
+    vhat_cgm,
 )
+from multiway.cli import main
 from multiway.estimators import fit
-from multiway.simulation import CellSizeLaw, DgpSpec, generate
+from multiway.gmm import probit_score_moments, quantile_iv_moments
+from multiway.simulation import CellSizeLaw, DgpSpec, McConfig, generate
 
 OLS_SPEC = LinearModelSpec(0, (1,))
 QUANTILE_SPEC = EcdfSpec(1)
@@ -83,6 +90,19 @@ def test_fit_equals_direct_estimator_field_by_field(kind, sample):
     assert got.meta == want_meta
 
 
+@pytest.mark.parametrize("kind", list(DIRECT))
+def test_has_variance_of_the_direct_estimators(kind, sample):
+    fitted = fit(kind, sample, **DIRECT[kind][0])
+    assert fitted.has_variance is (kind != "quantile")
+
+
+def test_has_variance_is_false_for_a_nonsmooth_gmm_fit(sample):
+    smooth = fit("gmm", sample, model=probit_score_moments(0, 1))
+    nonsmooth = fit("gmm", sample, model=quantile_iv_moments(0.5, 0, [1], [1]))
+    assert smooth.has_variance and smooth.variance("v1").matrix.shape == (2, 2)
+    assert not nonsmooth.has_variance and nonsmooth.scores is not None
+
+
 def test_fit_ols_meta_keeps_the_diagnostics_key_order(sample):
     meta = fit("ols", sample, spec=OLS_SPEC).meta
     assert list(meta) == ["n_units", "residual_norm", "gram_condition"]
@@ -115,6 +135,25 @@ def test_fit_quantile_sorts_the_pooled_values_once(sample, monkeypatch):
     assert len(calls) == 1
 
 
+def count_margin_passes(monkeypatch) -> list:
+    """The axes of every ``multiway.variance.subset_margin_sum`` call from now on."""
+    calls = []
+    original = multiway.variance.subset_margin_sum
+
+    def counting(sums, axes):
+        calls.append(tuple(axes))
+        return original(sums, axes)
+
+    monkeypatch.setattr(multiway.variance, "subset_margin_sum", counting)
+    return calls
+
+
+def random_scores(counts) -> CenteredScores:
+    rng = np.random.default_rng(len(counts))
+    dims = Dimensions(counts)
+    return CenteredScores(dims, rng.normal(size=(dims.pi_c, 2)))
+
+
 @pytest.mark.parametrize("counts, n_subsets", [((5, 4), 3), ((4, 3, 3), 7)])
 def test_vhat2_computes_each_pair_sum_once(counts, n_subsets, monkeypatch):
     rng = np.random.default_rng(len(counts))
@@ -134,3 +173,88 @@ def test_vhat2_computes_each_pair_sum_once(counts, n_subsets, monkeypatch):
         axes for r in range(1, dims.k + 1) for axes in itertools.combinations(range(dims.k), r)
     ]
     assert calls == all_subsets
+
+
+def count_margin_passes(monkeypatch) -> list:
+    """The axes of every ``multiway.variance.subset_margin_sum`` call from now on."""
+    calls = []
+    original = multiway.variance.subset_margin_sum
+
+    def counting(sums, axes):
+        calls.append(tuple(axes))
+        return original(sums, axes)
+
+    monkeypatch.setattr(multiway.variance, "subset_margin_sum", counting)
+    return calls
+
+
+def random_scores(counts) -> CenteredScores:
+    rng = np.random.default_rng(len(counts))
+    dims = Dimensions(counts)
+    return CenteredScores(dims, rng.normal(size=(dims.pi_c, 2)))
+
+
+@pytest.mark.parametrize(
+    "dgp, dims, n_subsets", [("additive", "5,4", 3), ("additive3", "4,3,3", 7)]
+)
+def test_estimate_with_three_variances_computes_each_pair_sum_once(
+    dgp, dims, n_subsets, tmp_path, monkeypatch
+):
+    data = tmp_path / "d.csv"
+    assert main(["simulate", "--dgp", dgp, "--dims", dims, "--seed", "2", "-o", str(data)]) == 0
+    calls = count_margin_passes(monkeypatch)
+    argv = ["estimate", "--input", str(data), "--dims", dims, "--variance", "v1,v2,cgm"]
+    assert main([*argv, "-o", str(tmp_path / "e.json")]) == 0
+    # v1, v2 and cgm, plus the two-way identity diagnostic on a 2-way input
+    assert len(calls) == n_subsets
+    assert len(set(calls)) == n_subsets
+
+
+def test_mc_replication_with_three_wald_methods_computes_each_pair_sum_once(monkeypatch):
+    dgp = DgpSpec(variant="additive")
+    config = McConfig(
+        dgp=dgp,
+        dims=Dimensions((20, 20)),
+        replications=1,
+        methods=("wald-v1", "wald-v2", "wald-cgm"),
+    )
+    calls = count_margin_passes(monkeypatch)
+    out = multiway.simulation._one_replication(config, 0)
+    assert all(outcome is not None for outcome in out["outcomes"].values())
+    assert "near_zero_variance" in out
+    assert sorted(calls) == [(0,), (0, 1), (1,)]
+
+
+@pytest.mark.parametrize("counts", [(5, 4), (4, 3, 3)])
+def test_vhat1_reads_only_the_one_way_pair_sums(counts, monkeypatch):
+    scores = random_scores(counts)
+    calls = count_margin_passes(monkeypatch)
+    vhat1(scores)
+    assert calls == [(i,) for i in range(len(counts))]
+
+
+def test_sigma_subset_is_the_same_for_any_axis_order(monkeypatch):
+    scores = random_scores((5, 4))
+    calls = count_margin_passes(monkeypatch)
+    first = sigma_subset(scores, (0, 1))
+    second = sigma_subset(scores, (1, 0))
+    assert first.tobytes() == second.tobytes()
+    assert calls == [(0, 1)]
+
+
+def test_pair_sum_table_is_read_only():
+    scores = random_scores((5, 4))
+    table = scores.pair_sum((1,))
+    with pytest.raises(ValueError):
+        table[0, 0] = 0.0
+    assert sigma_subset(scores, (1,)).tobytes() == (1.0 / 20**2 * table).tobytes()
+
+
+@pytest.mark.parametrize("counts", [(5, 4), (4, 3, 3)])
+def test_warm_table_gives_the_bytes_of_a_fresh_one(counts):
+    warm = random_scores(counts)
+    sigma_subset(warm, tuple(reversed(range(len(counts)))))
+    vhat_cgm(warm, "cgm")
+    for est in (vhat1, vhat2, vhat_cgm):
+        fresh = CenteredScores(warm.dims, warm.values.copy())
+        assert est(warm).matrix.tobytes() == est(fresh).matrix.tobytes()
