@@ -16,7 +16,7 @@ import csv
 import json
 import os
 import sys
-from dataclasses import asdict, replace
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -94,14 +94,15 @@ def _workers(args) -> int:
     return workers
 
 
-_JSON_KINDS = {int: "an integer", float: "a number", list: "a JSON array", dict: "a JSON object"}
+_JSON_KINDS = {int: "an integer", float: "a number", str: "a string", bool: "a boolean",
+               list: "a JSON array", dict: "a JSON object"}
 
 
 def _expect(value, kind: type, path: str):
     """``value`` if it has the JSON type ``kind`` (float admits integers,
-    neither admits booleans); otherwise a ConfigError naming ``path``."""
+    only bool admits booleans); otherwise a ConfigError naming ``path``."""
     types = (int, float) if kind is float else kind
-    if not isinstance(value, types) or isinstance(value, bool):
+    if not isinstance(value, types) or (isinstance(value, bool) and kind is not bool):
         raise ConfigError(f"{path}: expected {_JSON_KINDS[kind]}, got {type(value).__name__}")
     return value
 
@@ -112,6 +113,27 @@ def _expect_array(value, kind: type, path: str) -> list:
     for item in _expect(value, list, path):
         _expect(item, kind, f"{path} entry")
     return value
+
+
+def _fields(doc, path: str, kinds: dict, required=()) -> dict:
+    """The keyword arguments that the JSON object ``doc`` (named ``path``,
+    "config" for a whole document) sets. ``kinds`` maps each known key to
+    its JSON kind, ``[kind]`` for an array, which becomes a tuple; a key
+    left out takes the default of the dataclass the arguments go to."""
+    prefix = "" if path == "config" else f"{path}."
+    out = {}
+    for key, value in _expect(doc, dict, path).items():
+        kind = kinds.get(key)
+        if kind is None:
+            raise ConfigError(f"{path}: unknown key {key!r}; known keys: {', '.join(kinds)}")
+        if isinstance(kind, list):
+            out[key] = tuple(_expect_array(value, kind[0], prefix + key))
+        else:
+            out[key] = _expect(value, kind, prefix + key)
+    for key in required:
+        if key not in out:
+            raise ConfigError(f"{prefix}{key}: missing")
+    return out
 
 
 def _read_config(path, what: str) -> dict:
@@ -129,15 +151,19 @@ def _read_config(path, what: str) -> dict:
 # ---------------------------------------------------------------------
 
 
+def _dgp_spec(k: int, sigma_factors=None, **fields) -> DgpSpec:
+    """A DgpSpec whose sigma_factors default to 1.0 in each of the ``k`` dimensions."""
+    return DgpSpec(sigma_factors=(1.0,) * k if sigma_factors is None else sigma_factors, **fields)
+
+
 def _dgp_from_args(args, k: int) -> DgpSpec:
-    sigma_factors = (
-        _parse_list(args.sigma_factors, float, "--sigma-factors")
-        if args.sigma_factors
-        else (1.0,) * k
-    )
-    return DgpSpec(
-        variant=args.dgp,
+    sigma_factors = None
+    if args.sigma_factors:
+        sigma_factors = _parse_list(args.sigma_factors, float, "--sigma-factors")
+    return _dgp_spec(
+        k,
         sigma_factors=sigma_factors,
+        variant=args.dgp,
         sigma_cell=args.sigma_cell,
         sigma_unit=args.sigma_unit,
         cell_sizes=_parse_cell_sizes(args.cell_sizes),
@@ -172,6 +198,10 @@ def cmd_simulate(args) -> int:
 # ---------------------------------------------------------------------
 
 
+# The JSON kind of each key of a model config's optimizer, by OptimizerConfig field.
+_OPTIMIZER_FIELDS = {"n_starts": int, "max_evals": int, "tol": float}
+
+
 def _gmm_model_from_config(path):
     doc = _read_config(path, "model config")
     family = doc.get("family")
@@ -198,25 +228,18 @@ def _gmm_model_from_config(path):
             raise ConfigError(f"model config family: unknown {family!r}")
     except KeyError as exc:
         raise ConfigError(f"model config: missing field {exc}") from None
-    opt = _expect(doc.get("optimizer", {}), dict, "model config optimizer")
-    config = OptimizerConfig(
-        n_starts=_expect(opt.get("n_starts", 5), int, "optimizer.n_starts"),
-        max_evals=_expect(opt.get("max_evals", 10000), int, "optimizer.max_evals"),
-        tol=_expect(opt.get("tol", 1e-9), float, "optimizer.tol"),
-        seed=_expect(opt.get("seed", 0), int, "optimizer.seed"),
-    )
+    optimizer = _fields(doc.get("optimizer", {}), "optimizer", _OPTIMIZER_FIELDS)
     xi = doc.get("xi", "identity")
     if xi not in ("identity", "two_step"):
         raise ConfigError(f'xi: expected "identity" or "two_step", got {xi!r}')
-    return model, config, xi == "two_step"
+    return model, optimizer, xi == "two_step"
 
 
 def _gmm_options(args) -> dict:
     if not args.model_config:
         raise ConfigError("gmm estimation needs --model-config")
-    model, config, two_step = _gmm_model_from_config(args.model_config)
-    if getattr(args, "seed", None) is not None:
-        config = replace(config, seed=args.seed)
+    model, optimizer, two_step = _gmm_model_from_config(args.model_config)
+    config = OptimizerConfig(seed=args.seed, **optimizer)  # --seed is the multistart seed
     return {"model": model, "config": config, "two_step": two_step}
 
 
@@ -264,7 +287,7 @@ def _variance_kinds(text: str) -> list[str]:
 def cmd_estimate(args) -> int:
     check_alpha(args.alpha)
     kinds = None if args.variance is None else _variance_kinds(args.variance)
-    print(f"seed: {args.seed if args.seed is not None else 0}", file=sys.stderr)
+    print(f"seed: {args.seed}", file=sys.stderr)
     sample = _load_input(args)
     fitted = _fit(args, sample)
     if kinds is None:
@@ -355,44 +378,22 @@ def cmd_bootstrap(args) -> int:
 # ---------------------------------------------------------------------
 
 
-def _require(doc: dict, key: str, path: str):
-    if key not in doc:
-        raise ConfigError(f"{path}{key}: missing")
-    return doc[key]
+# The JSON kind of each key of an mc config, its dgp and its cell sizes, by the
+# McConfig, DgpSpec and CellSizeLaw field it sets (n_workers comes from --workers).
+_MC_FIELDS = {"dgp": dict, "dims": [int], "replications": int, "alpha": float, "methods": [str],
+              "bootstrap_b": int, "estimator": str, "seed": int, "adjustment": str}
+_DGP_FIELDS = {"variant": str, "sigma_factors": [float], "sigma_cell": float,
+               "sigma_unit": float, "cell_sizes": dict, "beta": [float], "error_rho": [float]}
+_CELL_SIZE_FIELDS = {"kind": str, "n": int, "mu": float, "factor_linked": bool}
 
 
 def _mc_config_from_doc(doc: dict, workers: int) -> McConfig:
-    dgp_doc = dict(_expect(_require(doc, "dgp", ""), dict, "dgp"))
-    sizes_doc = _expect(dgp_doc.pop("cell_sizes", None) or {}, dict, "dgp.cell_sizes")
-    for key, kind in (("n", int), ("mu", float)):
-        if key in sizes_doc:
-            _expect(sizes_doc[key], kind, f"dgp.cell_sizes.{key}")
-    try:
-        cell_sizes = CellSizeLaw(**sizes_doc)
-    except TypeError as exc:
-        raise ConfigError(f"dgp.cell_sizes: {exc}") from None
-    for key in ("sigma_factors", "beta", "error_rho"):
-        if key in dgp_doc:
-            dgp_doc[key] = tuple(_expect_array(dgp_doc[key], float, f"dgp.{key}"))
-    for key in ("sigma_cell", "sigma_unit"):
-        if key in dgp_doc:
-            _expect(dgp_doc[key], float, f"dgp.{key}")
-    try:
-        dgp = DgpSpec(cell_sizes=cell_sizes, **dgp_doc)
-    except TypeError as exc:
-        raise ConfigError(f"dgp: {exc}") from None
-    return McConfig(
-        dgp=dgp,
-        dims=Dimensions(tuple(_expect_array(_require(doc, "dims", ""), int, "dims"))),
-        replications=_expect(_require(doc, "replications", ""), int, "replications"),
-        alpha=_expect(doc.get("alpha", 0.05), float, "alpha"),
-        methods=tuple(_expect(doc.get("methods", ["wald-v1"]), list, "methods")),
-        bootstrap_b=_expect(doc.get("bootstrap_b", 0), int, "bootstrap_b"),
-        estimator=doc.get("estimator", "ratio"),
-        seed=_expect(doc.get("seed", 0), int, "seed"),
-        n_workers=workers,
-        adjustment=doc.get("adjustment", "unit"),
-    )
+    config = _fields(doc, "config", _MC_FIELDS, required=("dgp", "dims", "replications"))
+    dims = Dimensions(config.pop("dims"))
+    dgp = _fields(config.pop("dgp"), "dgp", _DGP_FIELDS)
+    sizes = _fields(dgp.pop("cell_sizes", {}), "dgp.cell_sizes", _CELL_SIZE_FIELDS)
+    dgp = _dgp_spec(dims.k, cell_sizes=CellSizeLaw(**sizes), **dgp)
+    return McConfig(dgp=dgp, dims=dims, n_workers=workers, **config)
 
 
 def cmd_mc(args) -> int:
@@ -459,7 +460,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("estimate", help="point estimate with analytic variances")
     p.add_argument("--input", required=True)
     p.add_argument("--dims", default=None, help="cluster counts for CSV inputs")
-    p.add_argument("--seed", type=int, default=None, help="GMM multistart seed")
+    p.add_argument("--seed", type=int, default=0, help="GMM multistart seed")
     _add_estimator_options(p)
     p.add_argument(
         "--variance",

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from contextlib import nullcontext
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from functools import partial
 from typing import Sequence
 
@@ -342,6 +342,8 @@ class McConfig:
         for m in self.methods:
             if m not in METHODS:
                 raise ConfigError(f"methods: unknown method {m!r}")
+            if self.methods.count(m) > 1:
+                raise ConfigError(f"methods: {m!r} is listed twice")
         if self.estimator not in ESTIMATORS:
             raise ConfigError(f"estimator: unknown kind {self.estimator!r}")
         if self.adjustment not in ADJUSTMENTS:
@@ -376,54 +378,36 @@ class MethodReport:
     n_used: int
     n_failed: int
 
-    def to_json_dict(self) -> dict:
-        return asdict(self)
+
+# The CSV format of each float column of the report; other columns print as they are.
+_CSV_FORMATS = {
+    "coverage": "{:.6f}",
+    "mc_se": "{:.6f}",
+    "rejection_rate": "{:.6f}",
+    "avg_length": "{:.6g}",
+}
 
 
 @dataclass(frozen=True)
 class McReport:
-    methods: tuple[MethodReport, ...]
+    """The coverage report; its fields are the JSON report's keys, in order."""
+
     n_replications: int
     theta_mc_sd: list[float]
     mean_boot_se: list[float] | None
     near_zero_variance_count: int
-    config_echo: dict
+    methods: tuple[MethodReport, ...]
+    config: dict
 
     def to_json_dict(self) -> dict:
-        return {
-            "schema_version": SCHEMA_VERSION,
-            "n_replications": self.n_replications,
-            "theta_mc_sd": self.theta_mc_sd,
-            "mean_boot_se": self.mean_boot_se,
-            "near_zero_variance_count": self.near_zero_variance_count,
-            "methods": [m.to_json_dict() for m in self.methods],
-            "config": self.config_echo,
-        }
+        return {"schema_version": SCHEMA_VERSION, **asdict(self)}
 
     def csv_rows(self) -> list[list]:
-        header = [
-            "method",
-            "coverage",
-            "mc_se",
-            "rejection_rate",
-            "avg_length",
-            "n_used",
-            "n_failed",
+        header = [f.name for f in fields(MethodReport)]
+        return [header] + [
+            [_CSV_FORMATS.get(name, "{}").format(getattr(m, name)) for name in header]
+            for m in self.methods
         ]
-        rows = [header]
-        for m in self.methods:
-            rows.append(
-                [
-                    m.method,
-                    f"{m.coverage:.6f}",
-                    f"{m.mc_se:.6f}",
-                    f"{m.rejection_rate:.6f}",
-                    f"{m.avg_length:.6g}",
-                    m.n_used,
-                    m.n_failed,
-                ]
-            )
-        return rows
 
 
 def _interval_length(intervals: np.ndarray) -> float:
@@ -501,12 +485,14 @@ def run_coverage(config: McConfig, progress=None) -> McReport:
     otherwise, so ``n_used + n_failed`` is ``replications``.
     """
     r_total = config.replications
+    # a fork pool starts all its processes at once, so start no idle ones
+    workers = min(config.n_workers, r_total)
     pool, run = nullcontext(), map
-    if config.n_workers > 1:
+    if workers > 1:
         from concurrent.futures import ProcessPoolExecutor  # deferred: imports multiprocessing
 
-        pool = ProcessPoolExecutor(max_workers=config.n_workers)
-        run = partial(pool.map, chunksize=max(1, r_total // (config.n_workers * 8)))
+        pool = ProcessPoolExecutor(max_workers=workers)
+        run = partial(pool.map, chunksize=max(1, r_total // (workers * 8)))
     results = []
     with pool:
         for res in run(_one_replication, [config] * r_total, range(r_total)):
@@ -539,26 +525,21 @@ def run_coverage(config: McConfig, progress=None) -> McReport:
     thetas = np.array([res["theta"] for res in results if res["theta"] is not None])
     boot_ses = [res["boot_se"] for res in results if "boot_se" in res]
     return McReport(
-        methods=tuple(methods),
         n_replications=r_total,
         theta_mc_sd=thetas.std(axis=0, ddof=1).tolist() if len(thetas) > 1 else [],
         mean_boot_se=np.mean(boot_ses, axis=0).tolist() if boot_ses else None,
         near_zero_variance_count=sum(
             1 for res in results if res.get("near_zero_variance")
         ),
-        config_echo=_config_echo(config),
+        methods=tuple(methods),
+        config=_config_echo(config),
     )
 
 
 def _config_echo(config: McConfig) -> dict:
-    return {
-        "dgp": asdict(config.dgp),
-        "dims": list(config.dims.counts),
-        "replications": config.replications,
-        "alpha": config.alpha,
-        "methods": list(config.methods),
-        "bootstrap_b": config.bootstrap_b,
-        "estimator": config.estimator,
-        "seed": config.seed,
-        "adjustment": config.adjustment,
-    }
+    """The config as its JSON document: every field but the worker count,
+    which changes no number."""
+    echo = asdict(config)
+    del echo["n_workers"]
+    echo["dims"] = list(config.dims.counts)
+    return echo

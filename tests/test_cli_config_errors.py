@@ -1,9 +1,16 @@
-"""Malformed config documents and settings exit 2 with a message naming the field."""
+"""Malformed config documents and settings exit 2 with a message naming the field;
+each config key sets the dataclass field of its name, whose default it takes."""
+
+import json
+from dataclasses import fields
 
 import pytest
 
+from multiway import cli
 from multiway.cli import main
 from multiway.dataio import write_json
+from multiway.gmm import OptimizerConfig
+from multiway.simulation import CellSizeLaw, DgpSpec, McConfig
 
 MC_BASE = {
     "dgp": {"variant": "additive"},
@@ -84,6 +91,23 @@ CASES = {
         *mc_case(methods=["wald-cgm"], adjustment="foo"), {}, "adjustment:"
     ),
     "workers environment": ("mc", MC_BASE, {"MULTIWAY_WORKERS": "abc"}, "MULTIWAY_WORKERS"),
+    "factor_linked string": (
+        *dgp_case(cell_sizes={"kind": "one_plus_poisson", "mu": 1.0, "factor_linked": "no"}),
+        {}, "dgp.cell_sizes.factor_linked: expected a boolean",
+    ),
+    "misspelt config key": (*mc_case(adjustmnet="cgm"), {}, "config: unknown key 'adjustmnet'"),
+    "misspelt dgp key": (
+        *dgp_case(sigma_factor=[1.0, 1.0]), {}, "dgp: unknown key 'sigma_factor'"
+    ),
+    "misspelt cell_sizes key": (
+        *dgp_case(cell_sizes={"knd": "fixed"}), {}, "dgp.cell_sizes: unknown key 'knd'"
+    ),
+    "misspelt optimizer key": (
+        "gmm", {**PROBIT, "optimizer": {"n_start": 3}}, {}, "optimizer: unknown key 'n_start'"
+    ),
+    "optimizer seed": (
+        "gmm", {**PROBIT, "optimizer": {"seed": 3}}, {}, "optimizer: unknown key 'seed'"
+    ),
 }
 
 
@@ -132,3 +156,47 @@ def test_alpha_outside_the_unit_interval_exits_2_writing_nothing(
     assert "Traceback" not in err
     assert err.splitlines()[-1].startswith("error: alpha:")
     assert list(tmp_path.iterdir()) == []
+
+
+def field_names(cls) -> set:
+    return {f.name for f in fields(cls)}
+
+
+def test_config_tables_name_exactly_the_dataclass_fields():
+    assert set(cli._MC_FIELDS) == field_names(McConfig) - {"n_workers"}
+    assert set(cli._DGP_FIELDS) == field_names(DgpSpec)
+    assert set(cli._CELL_SIZE_FIELDS) == field_names(CellSizeLaw)
+    # the multistart seed is --seed; the grid knobs are not part of the config
+    assert set(cli._OPTIMIZER_FIELDS) == {"n_starts", "max_evals", "tol"}
+    assert set(cli._OPTIMIZER_FIELDS) < field_names(OptimizerConfig)
+
+
+def test_mc_without_sigma_factors_takes_one_per_dimension(tmp_path, capsys):
+    config = tmp_path / "config.json"
+    write_json(config, {**MC_BASE, "dgp": {"variant": "additive3"}, "dims": [3, 3, 3]})
+    assert main(["mc", "--config", str(config), "--out", str(tmp_path / "r")]) == 0
+    report = json.loads((tmp_path / "r.json").read_text())
+    assert report["config"]["dgp"]["sigma_factors"] == [1.0, 1.0, 1.0]
+    assert report["config"]["dims"] == [3, 3, 3]
+
+
+@pytest.mark.parametrize("seed", [None, 9])
+def test_estimate_prints_the_multistart_seed_it_uses(seed, probit_csv, tmp_path, monkeypatch,
+                                                     capsys):
+    used, real_fit = [], cli.fit
+
+    def recording_fit(kind, sample, **options):
+        used.append(options["config"].seed)
+        return real_fit(kind, sample, **options)
+
+    monkeypatch.setattr(cli, "fit", recording_fit)
+    config = tmp_path / "model.json"
+    write_json(config, PROBIT)
+    argv = ["estimate", "--input", probit_csv, "--dims", "4,4", "--estimator", "gmm",
+            "--model-config", config, "--out", tmp_path / "e.json"]
+    if seed is not None:
+        argv += ["--seed", str(seed)]
+    capsys.readouterr()
+    assert main([str(a) for a in argv]) == 0
+    assert capsys.readouterr().err.splitlines()[0] == f"seed: {used[0]}"
+    assert used == [seed or 0]

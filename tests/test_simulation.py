@@ -1,5 +1,7 @@
 """Tests for the data-generating processes and the coverage harness."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -301,3 +303,40 @@ def test_run_coverage_median_bootstrap():
     )
     report = run_coverage(config)
     assert report.methods[0].n_used == 10
+
+
+def test_config_refuses_a_duplicated_method():
+    with pytest.raises(ConfigError, match="^methods: 'wald-v1' is listed twice"):
+        McConfig(dgp=additive(), dims=Dimensions((4, 4)), replications=2,
+                 methods=("wald-v1", "wald-v2", "wald-v1"))
+
+
+@pytest.mark.parametrize("workers, replications, started", [(8, 3, 3), (2, 5, 2), (4, 1, None)])
+def test_run_coverage_starts_no_more_processes_than_replications(
+    workers, replications, started, monkeypatch
+):
+    import concurrent.futures
+
+    sizes = []
+
+    class RecordingPool:
+        """Records its size and runs the replications in process."""
+
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables, chunksize=1):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    config = McConfig(dgp=additive(), dims=Dimensions((4, 4)), replications=replications,
+                      n_workers=workers)
+    report = run_coverage(config)
+    assert sizes == ([] if started is None else [started])
+    assert report.to_json_dict() == run_coverage(replace(config, n_workers=1)).to_json_dict()
