@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import inspect
 import json
 import os
 import sys
@@ -117,10 +118,11 @@ def _expect_array(value, kind: type, path: str) -> list:
 
 def _fields(doc, path: str, kinds: dict, required=()) -> dict:
     """The keyword arguments that the JSON object ``doc`` (named ``path``,
-    "config" for a whole document) sets. ``kinds`` maps each known key to
-    its JSON kind, ``[kind]`` for an array, which becomes a tuple; a key
-    left out takes the default of the dataclass the arguments go to."""
-    prefix = "" if path == "config" else f"{path}."
+    "config" or "model config" for a whole document) sets. ``kinds`` maps
+    each known key to its JSON kind, ``[kind]`` for an array, which
+    becomes a tuple; a key left out takes the default of the dataclass or
+    function the arguments go to."""
+    prefix = "" if path.endswith("config") else f"{path}."
     out = {}
     for key, value in _expect(doc, dict, path).items():
         kind = kinds.get(key)
@@ -200,39 +202,35 @@ def cmd_simulate(args) -> int:
 
 # The JSON kind of each key of a model config's optimizer, by OptimizerConfig field.
 _OPTIMIZER_FIELDS = {"n_starts": int, "max_evals": int, "tol": float}
+# Each family's moment function and the JSON kind of each key that sets one of
+# its arguments; a key is required where the argument has no default.
+_MODEL_FAMILIES = {
+    "probit": (probit_score_moments, {"outcome_index": int, "x_index": int}),
+    "quantile_iv": (
+        quantile_iv_moments,
+        {"tau": float, "outcome_index": int, "x_indices": [int], "z_indices": [int]},
+    ),
+}
+# The keys every family reads.
+_MODEL_FIELDS = {"family": str, "bounds": list, "xi": str, "optimizer": dict}
 
 
 def _gmm_model_from_config(path):
     doc = _read_config(path, "model config")
     family = doc.get("family")
-    bounds = doc.get("bounds")
-    if bounds is not None:
-        _expect(bounds, list, "bounds")
-    bounds = bounds or None  # the model's default box
-    try:
-        if family == "quantile_iv":
-            model = quantile_iv_moments(
-                tau=_expect(doc["tau"], float, "tau"),
-                outcome_index=_expect(doc["outcome_index"], int, "outcome_index"),
-                x_indices=_expect_array(doc["x_indices"], int, "x_indices"),
-                z_indices=_expect_array(doc["z_indices"], int, "z_indices"),
-                bounds=bounds,
-            )
-        elif family == "probit":
-            model = probit_score_moments(
-                outcome_index=_expect(doc.get("outcome_index", 0), int, "outcome_index"),
-                x_index=_expect(doc.get("x_index", 1), int, "x_index"),
-                bounds=bounds,
-            )
-        else:
-            raise ConfigError(f"model config family: unknown {family!r}")
-    except KeyError as exc:
-        raise ConfigError(f"model config: missing field {exc}") from None
-    optimizer = _fields(doc.get("optimizer", {}), "optimizer", _OPTIMIZER_FIELDS)
-    xi = doc.get("xi", "identity")
+    if not isinstance(family, str) or family not in _MODEL_FAMILIES:
+        raise ConfigError(f"model config family: unknown {family!r}")
+    moments, kinds = _MODEL_FAMILIES[family]
+    params = inspect.signature(moments).parameters
+    required = [key for key in kinds if params[key].default is params[key].empty]
+    fields = _fields(doc, "model config", {**kinds, **_MODEL_FIELDS}, required)
+    del fields["family"]
+    optimizer = _fields(fields.pop("optimizer", {}), "optimizer", _OPTIMIZER_FIELDS)
+    xi = fields.pop("xi", "identity")
     if xi not in ("identity", "two_step"):
         raise ConfigError(f'xi: expected "identity" or "two_step", got {xi!r}')
-    return model, optimizer, xi == "two_step"
+    bounds = fields.pop("bounds", None) or None  # [] or no key: the model's default box
+    return moments(bounds=bounds, **fields), optimizer, xi == "two_step"
 
 
 def _gmm_options(args) -> dict:

@@ -17,7 +17,13 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import ClusteredSample, Dimensions, load_sample, sample_from_cell_ids
+from .data import (
+    ClusteredSample,
+    Dimensions,
+    check_dense_lattice,
+    load_sample,
+    sample_from_cell_ids,
+)
 from .errors import ParseError
 
 __all__ = [
@@ -31,9 +37,12 @@ __all__ = [
 # Version of the JSON documents the commands write (truth, estimate,
 # bootstrap and mc reports).
 SCHEMA_VERSION = 1
-# Rows formatted per write. Twice this left a larger heap behind:
-# `simulate` then `estimate` on 200k units peaked 2-4 MB higher.
-_BLOCK_ROWS = 1 << 15
+# Rows formatted per write. The write time is flat from 2^13 to 2^16
+# rows, and the strings of a block are the writer's largest allocation:
+# 1.3 MB traced at 2^13 rows, 5.2 MB at 2^15.
+_BLOCK_ROWS = 1 << 13
+# Characters per read when the CSV body is scanned before parsing.
+_SCAN_CHARS = 1 << 20
 _NUMPY_ONLY_BLANKS = "\x1c\x1d\x1e\x1f"
 
 
@@ -95,12 +104,18 @@ def read_dataset_csv(path, dims: Dimensions) -> ClusteredSample:
     the dialect forms numpy does not (quoted fields, ``1_0``) and raises
     the ParseError with its line number for every other refusal.
     """
+    check_dense_lattice(dims)
     sample = _read_csv_block(path, dims)
     return sample if sample is not None else _read_csv_rows(path, dims)
 
 
 def _read_csv_block(path, dims: Dimensions) -> ClusteredSample | None:
-    """Vectorized parse; None when the row loop has to decide."""
+    """Vectorized parse; None when the row loop has to decide.
+
+    Only the parse table, then the flat cell ids and a copy of the values,
+    are held whole: the body is scanned in chunks, and the table is
+    dropped before the reorder copies the values again.
+    """
     try:
         with open(path, encoding="utf-8", newline="") as fh:
             line = fh.readline()
@@ -108,13 +123,12 @@ def _read_csv_block(path, dims: Dimensions) -> ClusteredSample | None:
                 return None
             obs_dim = _header_obs_dim(next(csv.reader([line])), dims)
             start = fh.tell()
-            body = fh.read()
             # numpy's field parsers take some characters that int() and
             # float() refuse: \x1c-\x1f as blanks, some non-ASCII letters
             # as digits.
-            if not body.isascii() or any(c in body for c in _NUMPY_ONLY_BLANKS):
-                return None
-            del body
+            while chunk := fh.read(_SCAN_CHARS):
+                if not chunk.isascii() or any(c in chunk for c in _NUMPY_ONLY_BLANKS):
+                    return None
             fh.seek(start)
             row = np.dtype([("cell", np.int64, (dims.k,)), ("y", np.float64, (obs_dim,))])
             with warnings.catch_warnings():
@@ -122,16 +136,28 @@ def _read_csv_block(path, dims: Dimensions) -> ClusteredSample | None:
                 table = np.loadtxt(fh, dtype=row, delimiter=",", comments=None, ndmin=1)
     except (ValueError, Warning):  # ParseError and UnicodeDecodeError included
         return None
-    return _sample_in_bounds(dims, table["cell"], table["y"])
-
-
-def _sample_in_bounds(dims: Dimensions, coords, values) -> ClusteredSample | None:
-    """Sample from 1-based (n, k) coordinates; None if any is out of bounds."""
-    coords = coords - 1
-    if not ((coords >= 0) & (coords < dims.counts)).all():
+    flat_ids = _flat_cell_ids(dims, table["cell"])
+    if flat_ids is None:
         return None
-    flat_ids = np.ravel_multi_index(tuple(coords.T), dims.counts)
+    values = table["y"].copy()
+    del table
     return sample_from_cell_ids(dims, flat_ids, values)
+
+
+def _flat_cell_ids(dims: Dimensions, coords: np.ndarray) -> np.ndarray | None:
+    """Row-major flat ids of 1-based (n, k) coordinates; None if any is out
+    of bounds. Each column is checked by its min and max and folded into
+    one int64 array in place, so no (n, k) temporary is made; ``dims``
+    has passed :func:`check_dense_lattice`, so no id overflows."""
+    flat = np.zeros(len(coords), dtype=np.int64)
+    for i, count in enumerate(dims.counts):
+        column = coords[:, i]
+        if column.min(initial=1) < 1 or column.max(initial=1) > count:
+            return None
+        flat *= count
+        flat += column
+        flat -= 1
+    return flat
 
 
 def _read_csv_rows(path, dims: Dimensions) -> ClusteredSample:
@@ -182,6 +208,7 @@ def read_dataset_json(path) -> ClusteredSample:
         units = doc["units"]
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"bad dataset document: {exc}") from None
+    check_dense_lattice(dims)
     if not isinstance(units, list):
         raise ParseError("units: expected an array of unit objects")
     sample = _json_units_block(units, dims)
@@ -202,7 +229,10 @@ def _json_units_block(units, dims: Dimensions) -> ClusteredSample | None:
         return None
     if values.dtype.kind not in "iuf" or values.ndim != 2:
         return None
-    return _sample_in_bounds(dims, coords, values.astype(np.float64))
+    flat_ids = _flat_cell_ids(dims, coords)
+    if flat_ids is None:
+        return None
+    return sample_from_cell_ids(dims, flat_ids, values.astype(np.float64))
 
 
 def _json_units_loop(units, dims: Dimensions) -> ClusteredSample:

@@ -632,7 +632,7 @@ def _probit_lam(q: np.ndarray) -> np.ndarray:
 
 
 def probit_score_moments(
-    outcome_index: int, x_index: int, bounds=None
+    outcome_index: int = 0, x_index: int = 1, bounds=None
 ) -> MomentModel:
     """Probit pseudo-score moments s = lam * (1, X)' with the analytic Hessian.
 

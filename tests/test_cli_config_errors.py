@@ -1,6 +1,7 @@
 """Malformed config documents and settings exit 2 with a message naming the field;
 each config key sets the dataclass field of its name, whose default it takes."""
 
+import inspect
 import json
 from dataclasses import fields
 
@@ -108,6 +109,16 @@ CASES = {
     "optimizer seed": (
         "gmm", {**PROBIT, "optimizer": {"seed": 3}}, {}, "optimizer: unknown key 'seed'"
     ),
+    "misspelt model config key": (
+        "gmm", {**PROBIT, "outcome_idx": 1}, {}, "model config: unknown key 'outcome_idx'"
+    ),
+    "probit with tau": ("gmm", {**PROBIT, "tau": 0.5}, {}, "model config: unknown key 'tau'"),
+    "quantile_iv with x_index": (
+        "gmm", {**QUANTILE_IV, "x_index": 1}, {}, "model config: unknown key 'x_index'"
+    ),
+    "quantile_iv without tau": (
+        "gmm", {key: v for key, v in QUANTILE_IV.items() if key != "tau"}, {}, "tau: missing"
+    ),
 }
 
 
@@ -169,6 +180,9 @@ def test_config_tables_name_exactly_the_dataclass_fields():
     # the multistart seed is --seed; the grid knobs are not part of the config
     assert set(cli._OPTIMIZER_FIELDS) == {"n_starts", "max_evals", "tol"}
     assert set(cli._OPTIMIZER_FIELDS) < field_names(OptimizerConfig)
+    # each family's keys are its moment function's arguments but the shared bounds
+    for moments, kinds in cli._MODEL_FAMILIES.values():
+        assert set(kinds) == set(inspect.signature(moments).parameters) - {"bounds"}
 
 
 def test_mc_without_sigma_factors_takes_one_per_dimension(tmp_path, capsys):

@@ -177,8 +177,11 @@ ESTIMATOR_FLAGS = [
     flag("--coordinate", "0", "1", "5"),
 ]
 
-MODEL_CONFIG = document({
-    "family": json_value("probit", "quantile_iv"),
+# The values of each model-config key, and the keys each family reads beside
+# family, bounds, xi and optimizer. A document holds only the keys of its
+# family (of every family for an unknown one), as a key that its family does
+# not read exits 2.
+MODEL_VALUES = {
     "outcome_index": json_value(0, 1, 5),
     "x_index": json_value(0, 1, 5),
     "tau": json_value(0.5, 0.25),
@@ -188,7 +191,24 @@ MODEL_CONFIG = document({
     "xi": json_value("identity", "two_step"),
     "optimizer": json_value({"n_starts": 2, "max_evals": 500}, {"seed": -1}, {"tol": -1.0},
                             {"max_evals": 0}, {"n_starts": 0}, {"tol": "x"}),
-}, required=("family",))
+}
+FAMILY_KEYS = {
+    "probit": ["outcome_index", "x_index"],
+    "quantile_iv": ["tau", "outcome_index", "x_indices", "z_indices"],
+}
+SHARED_KEYS = ["bounds", "xi", "optimizer"]
+
+
+def model_config(family):
+    """A document of ``family`` with some of its keys; ``family in list(...)``
+    as an edge family may be an unhashable array or object."""
+    keys = [*FAMILY_KEYS[family], *SHARED_KEYS] if family in list(FAMILY_KEYS) else MODEL_VALUES
+    return document({key: MODEL_VALUES[key] for key in keys}).map(
+        lambda doc: {"family": family, **doc}
+    )
+
+
+MODEL_CONFIG = json_value("probit", "quantile_iv").flatmap(model_config)
 MODEL_FILES = st.sampled_from(["missing.json", "binary.json", "empty.json", "not_an_object.json"])
 # --model-config: a generated document, or one time in five a bad file
 MODELS = pick([MODEL_CONFIG], [MODEL_FILES]).flatmap(lambda strategy: strategy)

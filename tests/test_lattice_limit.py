@@ -56,6 +56,32 @@ def test_estimate_refuses_big_lattice_json(tmp_path, capsys):
     assert peak < 16 * 2**20
 
 
+HUGE = "10000000,10000000,10000000"
+
+
+@pytest.mark.parametrize("command", ["estimate", "bootstrap"])
+@pytest.mark.parametrize("suffix", [".csv", ".json"])
+def test_lattice_over_int64_is_refused_before_any_cell_id(tmp_path, capsys, command, suffix):
+    """pi_c = 10^21 overflows int64, so the flat cell ids of its units cannot
+    even be formed: the lattice is checked before they are."""
+    data = tmp_path / f"three{suffix}"
+    if suffix == ".csv":
+        data.write_text(f"dim1,dim2,dim3,y1\n1,1,1,0.5\n{HUGE},2.0\n")
+        dims = ["--dims", HUGE]
+    else:
+        units = [{"cell": [1, 1, 1], "y": [0.5]}, {"cell": [10**7] * 3, "y": [2.0]}]
+        data.write_text(json.dumps({"dims": [10**7] * 3, "units": units}))
+        dims = []
+    argv = [command, "--input", data, *dims, "--out", tmp_path / "out"]
+    if command == "bootstrap":
+        argv += ["--b", 40, "--seed", 1]
+    code, err, peak = _run_traced(argv, capsys)
+    assert code == 2
+    assert f"error: dims {HUGE}: pi_c = {10**21} cells exceeds the dense-lattice limit" in err
+    assert peak < 16 * 2**20
+    assert list(tmp_path.iterdir()) == [data]
+
+
 @pytest.mark.parametrize("dgp", ["additive", "additive3"])
 def test_simulate_refuses_big_lattice(tmp_path, capsys, dgp):
     out = tmp_path / "sim.csv"
