@@ -208,12 +208,19 @@ def sample_from_cell_ids(
     return ClusteredSample(dims, values[order], offsets.astype(np.int64))
 
 
-def cell_subsample(sample: ClusteredSample, cells: np.ndarray) -> ClusteredSample:
-    """The units of the cells where the (pi_c,) mask ``cells`` is True, same dims."""
+def cell_subsample(
+    sample: ClusteredSample, cells: np.ndarray, rows: np.ndarray | None = None
+) -> ClusteredSample:
+    """The units of the cells where the (pi_c,) mask ``cells`` is True, same dims.
+
+    ``rows`` is the index of those units, ``np.flatnonzero(cells[sample.unit_cell_ids])``,
+    for a caller that has it already.
+    """
     sizes = np.where(cells, sample.cell_sizes, 0)
     offsets = np.concatenate(([0], np.cumsum(sizes)))
+    if rows is None:
+        rows = np.flatnonzero(cells[sample.unit_cell_ids])
     # take with the row indices copies the rows several times faster than a boolean mask
-    rows = np.flatnonzero(cells[sample.unit_cell_ids])
     return ClusteredSample(sample.dims, sample.values.take(rows, axis=0), offsets)
 
 

@@ -208,10 +208,18 @@ def model_config(family):
     )
 
 
+# A probit document known to fit the probit fixtures, drawn beside the
+# generated ones so that gmm examples can exit 0 and write their outputs. Few
+# derandomized draws pair it with the probit data and valid flags, so
+# test_valid_probit_document_fits also runs it on probit.csv for both commands.
+VALID_PROBIT = {"family": "probit", "outcome_index": 0, "x_index": 1}
 MODEL_CONFIG = json_value("probit", "quantile_iv").flatmap(model_config)
 MODEL_FILES = st.sampled_from(["missing.json", "binary.json", "empty.json", "not_an_object.json"])
-# --model-config: a generated document, or one time in five a bad file
-MODELS = pick([MODEL_CONFIG], [MODEL_FILES]).flatmap(lambda strategy: strategy)
+# --model-config: the valid probit document or a generated one, or one time
+# in five a bad file
+MODELS = pick([st.just(VALID_PROBIT), MODEL_CONFIG], [MODEL_FILES]).flatmap(
+    lambda strategy: strategy
+)
 
 
 @FUZZ
@@ -246,6 +254,27 @@ def test_bootstrap_contract(files, dataset, flags, model):
     flags = [*flags, *([] if "--b" in flags else ["--b", "5"])]
     flags = [*flags, *([] if "--alpha" in flags else ["--alpha", "0.5"])]
     check_command("bootstrap", files, dataset, flags, model, out_name="boot")
+
+
+@pytest.mark.parametrize(
+    "command,extra,outputs",
+    [
+        ("estimate", [], ["r"]),
+        ("bootstrap", ["--b", "5", "--alpha", "0.5"], ["r.ci.json", "r.replicates.csv"]),
+    ],
+)
+def test_valid_probit_document_fits(files, command, extra, outputs):
+    """The exit-0 side of the gmm contract: the valid probit document on
+    probit.csv fits and writes every output of the command."""
+    with tempfile.TemporaryDirectory(dir=files) as work:
+        work = Path(work)
+        (work / "model.json").write_text(json.dumps(VALID_PROBIT))
+        out_dir = work / "out"
+        out_dir.mkdir()
+        argv = [command, "--input", files / "probit.csv", "--dims", "4,4", "--estimator", "gmm",
+                "--model-config", work / "model.json", *extra, "--out", out_dir / "r"]
+        assert run(argv, out_dir) == 0
+        assert sorted(p.name for p in out_dir.iterdir()) == outputs
 
 
 def check_command(command, files, dataset, flags, model, out_name):
