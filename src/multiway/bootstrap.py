@@ -20,7 +20,7 @@ import numpy as np
 
 from .data import Dimensions
 from .errors import ConfigError, InsufficientReplicatesError, MultiwayError, ShapeError
-from .seeding import stream_rng
+from .seeding import stream_raw, stream_rng
 from .variance import check_alpha
 
 __all__ = [
@@ -78,6 +78,14 @@ class PigeonholeWeights:
         """Every cluster drawn exactly once; resampling is a no-op."""
         return cls(dims, tuple(np.ones(c, dtype=np.int64) for c in dims.counts))
 
+    @classmethod
+    def _drawn(cls, dims: Dimensions, per_dim_counts: tuple) -> PigeonholeWeights:
+        """Counts from a block draw, which sum to C_i by construction, unchecked."""
+        weights = object.__new__(cls)
+        object.__setattr__(weights, "dims", dims)
+        object.__setattr__(weights, "per_dim_counts", per_dim_counts)
+        return weights
+
     def cell_weights(self) -> np.ndarray:
         """W_j for every cell, flat row-major order, shape (pi_c,)."""
         grid = reduce(np.multiply.outer, self.per_dim_counts)
@@ -90,6 +98,46 @@ def draw_weights(dims: Dimensions, rng: np.random.Generator) -> PigeonholeWeight
         np.bincount(rng.integers(0, c, size=c), minlength=c) for c in dims.counts
     )
     return PigeonholeWeights(dims, counts)
+
+
+# Replicates whose counts are drawn together, and the 32-bit draws one block holds.
+_BLOCK = 256
+_BLOCK_DRAWS = 1 << 20
+
+
+def _replicate_weights(dims: Dimensions, seed: int, b: int):
+    """Yield ``draw_weights(dims, stream_rng(seed, idx))`` for idx = 0, ..., b - 1,
+    the same counts bit for bit, drawn a block of replicates at a time.
+
+    ``integers(0, C, size=C)`` is Lemire's bounded method on 32-bit draws:
+    the value is the high word of draw * C, rejected while the low word is
+    below 2**32 % C. PCG64 hands out each 64-bit output as its low then its
+    high half and keeps an unused high half for the next call, so the
+    dimensions with C_i > 1 read one stream of halves (C_i = 1 reads none).
+    The block takes the first sum(C_i) halves of every replicate; a
+    replicate with a rejected draw among them is redrawn by the scalar path.
+    """
+    n = sum(c for c in dims.counts if c > 1)
+    block = max(1, min(_BLOCK, _BLOCK_DRAWS // max(n, 1)))
+    for first in range(0, b, block):
+        count = min(block, b - first)
+        raw = stream_raw(seed, first, count, (n + 1) // 2)
+        halves = raw.astype("<u8", copy=False).view("<u4")[:, :n]
+        counts, rejected, start = [], np.zeros(count, dtype=bool), 0
+        for c in dims.counts:
+            if c == 1:
+                counts.append(np.ones((count, 1), dtype=np.int64))
+                continue
+            m = halves[:, start:start + c].astype(np.uint64) * np.uint64(c)
+            start += c
+            rejected |= ((m & np.uint64(0xFFFFFFFF)) < np.uint64(2**32 % c)).any(axis=1)
+            cells = (m >> np.uint64(32)).astype(np.int64) + c * np.arange(count)[:, None]
+            counts.append(np.bincount(cells.ravel(), minlength=count * c).reshape(count, c))
+        for row in range(count):
+            if rejected[row]:
+                yield draw_weights(dims, stream_rng(seed, first + row))
+            else:
+                yield PigeonholeWeights._drawn(dims, tuple(w[row] for w in counts))
 
 
 @dataclass(frozen=True)
@@ -147,14 +195,13 @@ def run_bootstrap(
         np.asarray(estimator(sample, PigeonholeWeights.identity(dims)), dtype=np.float64)
     )
     indices, thetas, failed = [], [], []  # failed: "<exception class>: <message>"
-    for idx in range(b):
-        w = draw_weights(dims, stream_rng(seed, idx))
+    for idx, w in enumerate(_replicate_weights(dims, seed, b)):
         try:
             theta = np.atleast_1d(np.asarray(estimator(sample, w), dtype=np.float64))
         except _REPLICATE_FAILURES as exc:
             failed.append(f"{type(exc).__name__}: {exc}")
             continue
-        if np.all(np.isfinite(theta)):
+        if np.isfinite(theta).all():
             indices.append(idx)
             thetas.append(theta)
         else:

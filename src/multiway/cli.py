@@ -241,30 +241,64 @@ def _gmm_options(args) -> dict:
     return {"model": model, "config": config, "two_step": two_step}
 
 
-# The flags each estimator reads, as estimators.fit options.
+# The estimator flags with their defaults. Each estimator reads the flags
+# named beside it and turns them into estimators.fit options; in `bootstrap`,
+# --seed is the bootstrap's own seed for every estimator.
+_ESTIMATOR_FLAGS = {"--outcome": 0, "--regressors": "", "--no-intercept": False, "--tau": 0.5,
+                    "--coordinate": 0, "--model-config": None, "--seed": 0}
 _FIT_OPTIONS = {
-    "ols": lambda args: {
-        "spec": LinearModelSpec(
-            outcome_index=args.outcome,
-            regressor_indices=(
-                _parse_list(args.regressors, int, "--regressors") if args.regressors else ()
-            ),
-            intercept=args.intercept,
-        )
-    },
-    "quantile": lambda args: {"spec": EcdfSpec(coordinate=args.coordinate), "tau": args.tau},
-    "gmm": _gmm_options,
+    "mean": ((), None),
+    "ratio": ((), None),
+    "ols": (
+        ("--outcome", "--regressors", "--no-intercept"),
+        lambda args: {
+            "spec": LinearModelSpec(
+                outcome_index=args.outcome,
+                regressor_indices=(
+                    _parse_list(args.regressors, int, "--regressors") if args.regressors else ()
+                ),
+                intercept=not args.no_intercept,
+            )
+        },
+    ),
+    "quantile": (
+        ("--tau", "--coordinate"),
+        lambda args: {"spec": EcdfSpec(coordinate=args.coordinate), "tau": args.tau},
+    ),
+    "gmm": (("--model-config", "--seed"), _gmm_options),
 }
 
 
+def _estimator_flags(args, own=()) -> None:
+    """Give each estimator flag left out its default; a flag that
+    ``--estimator`` does not read is a ConfigError naming it. ``own`` are
+    the flags the command reads itself."""
+    reads = _FIT_OPTIONS[args.estimator][0]
+    foreign = []
+    for flag, default in _ESTIMATOR_FLAGS.items():
+        if flag in own:
+            continue
+        dest = flag[2:].replace("-", "_")
+        if getattr(args, dest) is None:
+            setattr(args, dest, default)
+        elif flag not in reads:
+            foreign.append(flag)
+    if foreign:
+        raise ConfigError(f"{', '.join(foreign)}: not read by --estimator {args.estimator}")
+
+
 def _fit(args, sample) -> Fitted:
-    options = _FIT_OPTIONS.get(args.estimator)
+    options = _FIT_OPTIONS[args.estimator][1]
     return fit(args.estimator, sample, **(options(args) if options else {}))
 
 
 def _load_input(args):
     dims = Dimensions(_parse_list(args.dims, int, "--dims")) if args.dims else None
     sample = read_dataset(args.input, dims)
+    if dims is not None and sample.dims != dims:
+        raise ConfigError(
+            f"--dims: {args.dims} contradicts the dims {list(sample.dims.counts)} of {args.input}"
+        )
     return sample
 
 
@@ -283,6 +317,7 @@ def _variance_kinds(text: str) -> list[str]:
 
 
 def cmd_estimate(args) -> int:
+    _estimator_flags(args)
     check_alpha(args.alpha)
     kinds = None if args.variance is None else _variance_kinds(args.variance)
     print(f"seed: {args.seed}", file=sys.stderr)
@@ -334,6 +369,7 @@ def cmd_estimate(args) -> int:
 
 
 def cmd_bootstrap(args) -> int:
+    _estimator_flags(args, own=("--seed",))
     need = min_replicates("percentile", args.alpha)
     if args.b < need:
         raise InsufficientReplicatesError(
@@ -425,14 +461,14 @@ def _add_estimator_options(p: argparse.ArgumentParser) -> None:
         choices=["mean", "ratio", "ols", "quantile", "gmm"],
         help="estimator kind",
     )
-    p.add_argument("--outcome", type=int, default=0, help="outcome coordinate (OLS)")
-    p.add_argument("--regressors", default="", help="regressor coordinates, e.g. 1,2")
-    p.add_argument(
-        "--no-intercept", dest="intercept", action="store_false", help="drop the constant"
-    )
-    p.add_argument("--tau", type=float, default=0.5, help="quantile level")
-    p.add_argument("--coordinate", type=int, default=0, help="coordinate for quantiles")
-    p.add_argument("--model-config", default=None, help="JSON moment-model config (GMM)")
+    # defaults come from _ESTIMATOR_FLAGS, so that a flag given is told from one left out
+    p.add_argument("--outcome", type=int, help="outcome coordinate (OLS)")
+    p.add_argument("--regressors", help="regressor coordinates, e.g. 1,2")
+    p.add_argument("--no-intercept", action="store_true", default=None,
+                   help="drop the constant (OLS)")
+    p.add_argument("--tau", type=float, help="quantile level")
+    p.add_argument("--coordinate", type=int, help="coordinate for quantiles")
+    p.add_argument("--model-config", help="JSON moment-model config (GMM)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -458,7 +494,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("estimate", help="point estimate with analytic variances")
     p.add_argument("--input", required=True)
     p.add_argument("--dims", default=None, help="cluster counts for CSV inputs")
-    p.add_argument("--seed", type=int, default=0, help="GMM multistart seed")
+    p.add_argument("--seed", type=int, help="GMM multistart seed (default 0)")
     _add_estimator_options(p)
     p.add_argument(
         "--variance",

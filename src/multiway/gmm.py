@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cache, cached_property
 from typing import Callable
 
 import numpy as np
@@ -64,9 +64,9 @@ class MomentModel:
 
     The rows may come in any memory layout: m_bar and J_hat sum each
     entry's column of unit values in unit order, with the same bits for
-    every layout. Unit-major rows, the transpose of a fresh (L, n) or
-    (L, p, n) buffer as the probit model returns, are the cheap layout:
-    each column is then one contiguous run.
+    every layout. C-ordered rows, as the probit model returns, are the
+    cheap layout: ``np.einsum`` reads them in place (rows with a single
+    entry, L = 1 or L p = 1, go through ``np.add.accumulate`` instead).
     """
 
     fn: Callable[[np.ndarray, np.ndarray], np.ndarray]
@@ -159,24 +159,27 @@ class GmmResult:
 def _unit_mean(rows: np.ndarray, unit_weights: np.ndarray | None, pi_c: int) -> np.ndarray:
     """(1/pi_c) times the sum of the (weighted) per-unit rows, added in unit order.
 
-    ``rows`` is (n, ...) in any memory layout. Each entry's column of n
-    unit values (times the unit weights, when given) goes to one contiguous
-    run of an (entries, n) buffer, where ``np.add.accumulate`` adds it one
-    unit after another; ``sum`` would add it pairwise. The sums are
-    the same bits for C-, F- and unit-major rows; unit-major rows (the
-    transpose of a (..., n) buffer, as the probit model returns) are also
-    read in contiguous runs, so they are the cheap layout. An empty
-    ``rows`` sums to zeros.
+    ``rows`` is (n, ...) in any memory layout; C-ordered rows, as the
+    probit model returns, are read in place, others are copied to C order
+    first. With E >= 2 entries a row, ``np.einsum("ji,j->i")`` adds each
+    entry's column (times the unit weights, when given) one unit after
+    another, with the bits of ``np.add.accumulate``; ``sum`` would add it
+    pairwise. With one entry a row einsum adds the column pairwise too, so
+    that column goes through ``np.add.accumulate``. An empty ``rows`` sums
+    to zeros.
     """
     n = rows.shape[0]
     if n == 0:
         return np.zeros(rows.shape[1:])
-    cols = rows.reshape(n, -1).T
-    out = np.empty(cols.shape)
-    if unit_weights is not None:
-        cols = np.multiply(cols, unit_weights, out=out)
-    np.add.accumulate(cols, axis=1, out=out)
-    return out[:, -1].reshape(rows.shape[1:]) / pi_c
+    cols = np.ascontiguousarray(rows.reshape(n, -1))
+    if cols.shape[1] == 1:
+        col = cols[:, 0] if unit_weights is None else cols[:, 0] * unit_weights
+        total = np.add.accumulate(col)[-1:]
+    elif unit_weights is None:
+        total = np.einsum("ji->i", cols)
+    else:
+        total = np.einsum("ji,j->i", cols, unit_weights)
+    return total.reshape(rows.shape[1:]) / pi_c
 
 
 def moment_bar(
@@ -523,15 +526,6 @@ def gmm_fit(
     return GmmResult(theta=theta, objective_value=val, jhat=jhat, weight=xi, trace=trace)
 
 
-def _take_units(rows: np.ndarray, kept: np.ndarray) -> np.ndarray:
-    """``rows[kept]`` for (n, ...) rows and in-range ``kept``, unit-major: a
-    transposed (..., k) buffer."""
-    n, shape = rows.shape[0], rows.shape[1:]
-    # mode="clip" skips the bounds check, which makes take along axis 1 about 4x slower
-    cols = rows.reshape(n, -1).T.take(kept, axis=1, mode="clip")
-    return cols.T.reshape((kept.size, *shape))
-
-
 def gmm_bootstrap_estimator(
     model: MomentModel,
     xi: WeightMatrix | None = None,
@@ -559,7 +553,7 @@ def gmm_bootstrap_estimator(
     start are computed once, on the first sample the hook sees, and kept
     while it sees the same sample object; each replicate takes the index
     of its kept units once, gathers its values, unit weights and warm
-    rows (unit-major, column by column) with it, and weights and sums
+    rows (C-ordered, along the unit axis) with it, and weights and sums
     those rows for its first residual and Jacobian instead of calling the
     model.
 
@@ -570,9 +564,9 @@ def gmm_bootstrap_estimator(
     line search, and each Jacobian at an accepted step reuses the link
     values of the moment evaluation just before it. On the 30x30 poisson:4
     bootstrap (about 1,850 kept units a replicate, 2-core Xeon host) a
-    replicate takes about 630 µs of CPU time, draws included (760 µs
-    before the unit-major layout); ``log_ndtr`` takes about 145 µs of it
-    and the unit-order accumulation about 115 µs, both fixed by the bits.
+    replicate takes about 540 µs of CPU time, draws included; ``log_ndtr``
+    takes about 140 µs of it and the seven unit-order sums (``np.einsum``)
+    about 90 µs, both fixed by the bits.
     """
     xi = xi or WeightMatrix.identity(model.n_moments)
     config = config or OptimizerConfig()
@@ -597,7 +591,7 @@ def gmm_bootstrap_estimator(
             uw = w[ids[kept]].astype(np.float64)
             sample = cell_subsample(sample, cells, kept)
             if warm is not None:
-                warm = tuple(None if r is None else _take_units(r, kept) for r in warm)
+                warm = tuple(None if r is None else r.take(kept, axis=0) for r in warm)
         else:
             uw = w[ids].astype(np.float64)
         theta, _, _ = _minimize(sample, model, xi, config, uw, starts, warm)
@@ -658,15 +652,20 @@ def quantile_iv_moments(
     )
 
 
-def _probit_lam(q: np.ndarray) -> np.ndarray:
+@cache
+def _log_ndtr():
     from scipy import special  # deferred: slow to import, needed only here
 
+    return special.log_ndtr
+
+
+def _probit_lam(q: np.ndarray) -> np.ndarray:
     # phi(q)/Phi(q) evaluated in the log domain; stable for large |q|; in
     # place, in the order of exp(-0.5 q^2 - log(2 pi) / 2 - log Phi(q))
     t = np.square(q)
     t *= -0.5
     t -= 0.5 * math.log(2 * math.pi)
-    t -= special.log_ndtr(q)
+    t -= _log_ndtr()(q)
     return np.exp(t, out=t)
 
 
@@ -678,9 +677,9 @@ def probit_score_moments(
     lam = (2Y - 1) phi(q) / Phi(q) at q = (2Y - 1)(b0 + b1 X); minimizing
     the moment norm is the probit pseudo-MLE, which ignores within- and
     cross-cell correlation (the multiway sandwich puts it back). The
-    moments (n, 2) and the Jacobian (n, 2, 2) are unit-major: transposed
-    views of fresh (2, n) and (2, 2, n) buffers, one contiguous column per
-    entry, which ``_unit_mean`` sums without a strided pass.
+    moments (n, 2) and the Jacobian (n, 2, 2) are fresh C-ordered arrays,
+    which ``_unit_mean`` sums in place and the bootstrap hook gathers
+    along the unit axis.
 
     Two one-tuple caches, each keyed on the ``values`` array itself, read
     once and replaced whole, so threads sharing the model never see a torn
@@ -730,20 +729,20 @@ def probit_score_moments(
 
     def fn(values, theta):
         x, _, _, lam = link(values, theta)
-        out = np.empty((2, lam.shape[0]))
-        out[0] = lam
-        np.multiply(lam, x, out=out[1])
-        return out.T
+        out = np.empty((lam.shape[0], 2))
+        out[:, 0] = lam
+        np.multiply(lam, x, out=out[:, 1])
+        return out
 
     def jacobian(values, theta):
         x, xx, eta, lam = link(values, theta)
         g = -lam * (eta + lam)
-        out = np.empty((2, 2, g.shape[0]))
-        out[0, 0] = g
-        np.multiply(g, x, out=out[0, 1])
-        out[1, 0] = out[0, 1]
-        np.multiply(g, xx, out=out[1, 1])
-        return out.transpose(2, 0, 1)
+        out = np.empty((g.shape[0], 2, 2))
+        out[:, 0, 0] = g
+        np.multiply(g, x, out=out[:, 0, 1])
+        out[:, 1, 0] = out[:, 0, 1]
+        np.multiply(g, xx, out=out[:, 1, 1])
+        return out
 
     return MomentModel(
         fn=fn, n_params=2, n_moments=2, bounds=bounds, jacobian=jacobian, smooth=True

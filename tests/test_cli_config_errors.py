@@ -214,3 +214,62 @@ def test_estimate_prints_the_multistart_seed_it_uses(seed, probit_csv, tmp_path,
     assert main([str(a) for a in argv]) == 0
     assert capsys.readouterr().err.splitlines()[0] == f"seed: {used[0]}"
     assert used == [seed or 0]
+
+
+# argv after the input (command, estimator flags) -> the flags the error must name
+FOREIGN_FLAGS = [
+    (["estimate", "--estimator", "ratio", "--tau", "7", "--coordinate", "9", "--regressors", "5",
+      "--model-config", "nonexist.json"],
+     ["--regressors", "--tau", "--coordinate", "--model-config"]),
+    (["bootstrap", "--estimator", "mean", "--tau", "2", "--workers", "-3", "--b", "40"], ["--tau"]),
+    (["estimate", "--estimator", "ratio", "--tau", "7"], ["--tau"]),
+    (["estimate", "--tau", "0.5"], ["--tau"]),
+    (["estimate", "--estimator", "quantile", "--no-intercept"], ["--no-intercept"]),
+    (["estimate", "--estimator", "ols", "--outcome", "1", "--coordinate", "1"], ["--coordinate"]),
+    (["bootstrap", "--estimator", "gmm", "--model-config", "m.json", "--outcome", "1",
+      "--b", "40"], ["--outcome"]),
+    (["estimate", "--estimator", "mean", "--seed", "3"], ["--seed"]),
+]
+
+
+@pytest.mark.parametrize("argv,named", FOREIGN_FLAGS, ids=lambda v: " ".join(v))
+def test_a_flag_the_estimator_does_not_read_exits_2_naming_it(
+    argv, named, probit_csv, tmp_path, capsys
+):
+    command, *flags = argv
+    argv = [command, "--input", probit_csv, "--dims", "4,4", *flags, "--out", tmp_path / "out"]
+    capsys.readouterr()
+    assert main([str(a) for a in argv]) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    estimator = flags[flags.index("--estimator") + 1] if "--estimator" in flags else "ratio"
+    assert err.splitlines()[-1] == (
+        f"error: {', '.join(named)}: not read by --estimator {estimator}"
+    )
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("command", ["estimate", "bootstrap"])
+def test_the_flags_each_estimator_reads_are_accepted(command, probit_csv, tmp_path):
+    extra = ["--b", "40", "--seed", "1", "--workers", "2"] if command == "bootstrap" else []
+    for i, flags in enumerate([
+        ["--estimator", "ols", "--outcome", "1", "--regressors", "0", "--no-intercept"],
+        ["--estimator", "quantile", "--tau", "0.25", "--coordinate", "1"],
+        ["--estimator", "mean"],
+    ]):
+        argv = [command, "--input", probit_csv, "--dims", "4,4", *flags, *extra,
+                "--out", tmp_path / f"out{i}"]
+        assert main([str(a) for a in argv]) == 0, flags
+
+
+def test_dims_contradicting_a_json_dataset_exit_2_naming_dims(tmp_path, capsys):
+    data = tmp_path / "s.json"
+    write_json(data, {"dims": [6, 6], "units": [{"cell": [1, 1], "y": [1.0]},
+                                                {"cell": [6, 6], "y": [2.0]}]})
+    argv = ["estimate", "--input", str(data), "--out", str(tmp_path / "e.json")]
+    assert main([*argv, "--dims", "6,6"]) == 0
+    capsys.readouterr()
+    assert main([*argv, "--dims", "3,3"]) == 2
+    assert capsys.readouterr().err.splitlines()[-1] == (
+        f"error: --dims: 3,3 contradicts the dims [6, 6] of {data}"
+    )

@@ -2,8 +2,9 @@
 
 ``_unit_mean`` adds each entry's column of unit values in unit order,
 whatever the memory layout of the rows, so every sum must equal a plain
-left-to-right Python sum. The probit model returns unit-major moments and
-Jacobians; byte for byte they must equal the stacked formulas
+left-to-right Python sum; the shapes include rows longer than numpy's
+8,192-element iterator buffer. The probit model returns C-ordered moments
+and Jacobians; byte for byte they must equal the stacked formulas
 lam[:, None] * (1, x) and g[:, None, None] * [[1, x], [x, x^2]] built on
 the log-domain link, all kept below as they read before the unit-major
 layout.
@@ -50,7 +51,10 @@ def _layouts(base):
     }
 
 
-SHAPES = [(0, 2), (1, 2), (1, 2, 2), (37, 1), (37, 2), (37, 2, 2), (37, 3, 2)]
+SHAPES = [
+    (0, 2), (1, 2), (1, 2, 2), (37, 1), (37, 2), (37, 2, 2), (37, 3, 2),
+    (9001, 1), (9001, 2), (9001, 4),
+]
 
 
 @pytest.mark.parametrize("shape", SHAPES, ids=str)
@@ -72,11 +76,11 @@ def test_reference_tells_a_pairwise_sum_apart():
     assert np.add.reduce(col) != _left_to_right(col[:, None], None, 1)[0]
 
 
-def test_unit_major_rows_are_read_as_contiguous_columns():
+def test_probit_rows_are_c_ordered():
     rows = probit_score_moments(0, 1).fn(
         np.column_stack([np.ones(5), np.arange(5.0)]), np.array([0.1, 0.2])
     )
-    assert rows.T.flags.c_contiguous
+    assert rows.flags.c_contiguous
 
 
 def _parent_probit(values, theta):

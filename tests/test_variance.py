@@ -223,3 +223,20 @@ def test_variance_estimate_to_json():
     assert d["kind"] == "v1"
     assert d["lambda"] == [1.0, 1.0]
     assert isinstance(d["matrix"][0][0], float)
+
+
+def test_cgm_adjustment_refuses_a_single_cluster_subset():
+    # c_T = prod / (prod - 1) is undefined at prod = 1: a refusal, not a division by zero
+    scores = scores_of((1, 4), np.arange(4.0))
+    with pytest.raises(DegenerateDesignError, match=r"subset \(0,\): prod\(C\) = 1"):
+        vhat_cgm(scores, adjustment="cgm")
+
+
+def test_condition_check_accepts_a_spread_of_exactly_the_cap():
+    from multiway.variance import CONDITION_CAP, check_condition
+
+    assert CONDITION_CAP == 1e12
+    check_condition(np.array([1.0, 1e12]), SingularVarianceError, "v")
+    for spectrum in ([1.0, np.nextafter(1e12, np.inf)], [1.0, 2e12], [0.0, 1.0], [np.nan, 1.0]):
+        with pytest.raises(SingularVarianceError, match=r"^v \(spectrum in"):
+            check_condition(np.array(spectrum), SingularVarianceError, "v")
