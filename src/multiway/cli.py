@@ -241,31 +241,34 @@ def _gmm_options(args) -> dict:
     return {"model": model, "config": config, "two_step": two_step}
 
 
-# The estimator flags with their defaults. Each estimator reads the flags
-# named beside it and turns them into estimators.fit options; in `bootstrap`,
-# --seed is the bootstrap's own seed for every estimator.
-_ESTIMATOR_FLAGS = {"--outcome": 0, "--regressors": "", "--no-intercept": False, "--tau": 0.5,
-                    "--coordinate": 0, "--model-config": None, "--seed": 0}
+# Each estimator flag: the estimators that read it, its default, and its
+# argparse settings, whose default of None tells a flag given from one left
+# out. In `bootstrap`, --seed is the bootstrap's own seed for every estimator.
+_ESTIMATOR_FLAGS = {
+    "--outcome": (("ols",), 0, {"type": int, "help": "outcome coordinate (OLS)"}),
+    "--regressors": (("ols",), "", {"help": "regressor coordinates, e.g. 1,2"}),
+    "--no-intercept": (("ols",), False, {"action": "store_true", "default": None,
+                                         "help": "drop the constant (OLS)"}),
+    "--tau": (("quantile",), 0.5, {"type": float, "help": "quantile level"}),
+    "--coordinate": (("quantile",), 0, {"type": int, "help": "coordinate for quantiles"}),
+    "--model-config": (("gmm",), None, {"help": "JSON moment-model config (GMM)"}),
+    "--seed": (("gmm",), 0, {"type": int, "help": "GMM multistart seed (default 0)"}),
+}
+# Each estimator's builder of estimators.fit options from its flags.
 _FIT_OPTIONS = {
-    "mean": ((), None),
-    "ratio": ((), None),
-    "ols": (
-        ("--outcome", "--regressors", "--no-intercept"),
-        lambda args: {
-            "spec": LinearModelSpec(
-                outcome_index=args.outcome,
-                regressor_indices=(
-                    _parse_list(args.regressors, int, "--regressors") if args.regressors else ()
-                ),
-                intercept=not args.no_intercept,
-            )
-        },
-    ),
-    "quantile": (
-        ("--tau", "--coordinate"),
-        lambda args: {"spec": EcdfSpec(coordinate=args.coordinate), "tau": args.tau},
-    ),
-    "gmm": (("--model-config", "--seed"), _gmm_options),
+    "mean": lambda args: {},
+    "ratio": lambda args: {},
+    "ols": lambda args: {
+        "spec": LinearModelSpec(
+            outcome_index=args.outcome,
+            regressor_indices=(
+                _parse_list(args.regressors, int, "--regressors") if args.regressors else ()
+            ),
+            intercept=not args.no_intercept,
+        )
+    },
+    "quantile": lambda args: {"spec": EcdfSpec(coordinate=args.coordinate), "tau": args.tau},
+    "gmm": _gmm_options,
 }
 
 
@@ -273,23 +276,21 @@ def _estimator_flags(args, own=()) -> None:
     """Give each estimator flag left out its default; a flag that
     ``--estimator`` does not read is a ConfigError naming it. ``own`` are
     the flags the command reads itself."""
-    reads = _FIT_OPTIONS[args.estimator][0]
     foreign = []
-    for flag, default in _ESTIMATOR_FLAGS.items():
+    for flag, (readers, default, _) in _ESTIMATOR_FLAGS.items():
         if flag in own:
             continue
         dest = flag[2:].replace("-", "_")
         if getattr(args, dest) is None:
             setattr(args, dest, default)
-        elif flag not in reads:
+        elif args.estimator not in readers:
             foreign.append(flag)
     if foreign:
         raise ConfigError(f"{', '.join(foreign)}: not read by --estimator {args.estimator}")
 
 
 def _fit(args, sample) -> Fitted:
-    options = _FIT_OPTIONS[args.estimator][1]
-    return fit(args.estimator, sample, **(options(args) if options else {}))
+    return fit(args.estimator, sample, **_FIT_OPTIONS[args.estimator](args))
 
 
 def _load_input(args):
@@ -454,21 +455,16 @@ def cmd_mc(args) -> int:
 # ---------------------------------------------------------------------
 
 
-def _add_estimator_options(p: argparse.ArgumentParser) -> None:
-    p.add_argument(
-        "--estimator",
-        default="ratio",
-        choices=["mean", "ratio", "ols", "quantile", "gmm"],
-        help="estimator kind",
-    )
-    # defaults come from _ESTIMATOR_FLAGS, so that a flag given is told from one left out
-    p.add_argument("--outcome", type=int, help="outcome coordinate (OLS)")
-    p.add_argument("--regressors", help="regressor coordinates, e.g. 1,2")
-    p.add_argument("--no-intercept", action="store_true", default=None,
-                   help="drop the constant (OLS)")
-    p.add_argument("--tau", type=float, help="quantile level")
-    p.add_argument("--coordinate", type=int, help="coordinate for quantiles")
-    p.add_argument("--model-config", help="JSON moment-model config (GMM)")
+def _add_estimation_flags(p: argparse.ArgumentParser, own=()) -> None:
+    """The flags that estimate and bootstrap share; ``own`` as in :func:`_estimator_flags`."""
+    p.add_argument("--input", required=True)
+    p.add_argument("--dims", help="cluster counts for CSV inputs")
+    p.add_argument("--estimator", default="ratio", choices=list(_FIT_OPTIONS),
+                   help="estimator kind")
+    for flag, (_, _, settings) in _ESTIMATOR_FLAGS.items():
+        if flag not in own:
+            p.add_argument(flag, **settings)
+    p.add_argument("--alpha", type=float, default=0.05)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -492,27 +488,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("estimate", help="point estimate with analytic variances")
-    p.add_argument("--input", required=True)
-    p.add_argument("--dims", default=None, help="cluster counts for CSV inputs")
-    p.add_argument("--seed", type=int, help="GMM multistart seed (default 0)")
-    _add_estimator_options(p)
+    _add_estimation_flags(p)
     p.add_argument(
         "--variance",
         default=None,
         help="comma list from v1,v2,cgm (default v1 where the fit has an analytic "
         "variance; quantiles and nonsmooth GMM models have none)",
     )
-    p.add_argument("--alpha", type=float, default=0.05)
     p.add_argument("--adjustment", default="unit", choices=ADJUSTMENTS)
     p.add_argument("--out", "-o", required=True)
     p.set_defaults(func=cmd_estimate)
 
     p = sub.add_parser("bootstrap", help="pigeonhole bootstrap confidence intervals")
-    p.add_argument("--input", required=True)
-    p.add_argument("--dims", default=None)
-    _add_estimator_options(p)
+    _add_estimation_flags(p, own=("--seed",))
     p.add_argument("--b", type=int, required=True, help="bootstrap replicates")
-    p.add_argument("--alpha", type=float, default=0.05)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--workers", type=int, default=None, help="ignored; replicates run serially")
     p.add_argument("--out", "-o", required=True, help="output base path")

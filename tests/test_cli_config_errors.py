@@ -216,6 +216,31 @@ def test_estimate_prints_the_multistart_seed_it_uses(seed, probit_csv, tmp_path,
     assert used == [seed or 0]
 
 
+# The estimator flags each estimator reads, written here rather than taken from
+# cli so that the tests check its table; in bootstrap, --seed is the command's
+# own flag, read for every estimator. MODEL stands for a file holding PROBIT.
+MODEL = "<probit model config>"
+READS = {
+    "mean": [], "ratio": [], "ols": ["--outcome", "--regressors", "--no-intercept"],
+    "quantile": ["--tau", "--coordinate"], "gmm": ["--model-config", "--seed"],
+}
+FLAG_ARGV = {
+    "--outcome": ["--outcome", "1"], "--regressors": ["--regressors", "0"],
+    "--no-intercept": ["--no-intercept"], "--tau": ["--tau", "0.25"],
+    "--coordinate": ["--coordinate", "1"], "--model-config": ["--model-config", MODEL],
+    "--seed": ["--seed", "3"],
+}
+BOOTSTRAP_EXTRA = ["--b", "40", "--seed", "1", "--workers", "2"]
+
+
+def own_flags(command, estimator) -> list:
+    """The argv of every estimator flag that ``estimator`` reads in ``command``."""
+    reads = READS[estimator]
+    if command == "bootstrap":
+        reads = [name for name in reads if name != "--seed"]
+    return [a for name in reads for a in FLAG_ARGV[name]]
+
+
 # argv after the input (command, estimator flags) -> the flags the error must name
 FOREIGN_FLAGS = [
     (["estimate", "--estimator", "ratio", "--tau", "7", "--coordinate", "9", "--regressors", "5",
@@ -229,14 +254,27 @@ FOREIGN_FLAGS = [
     (["bootstrap", "--estimator", "gmm", "--model-config", "m.json", "--outcome", "1",
       "--b", "40"], ["--outcome"]),
     (["estimate", "--estimator", "mean", "--seed", "3"], ["--seed"]),
+    # every (estimator, flag it does not read) pair of both commands, beside
+    # the flags the estimator does read
+    *[([command, "--estimator", estimator, *own_flags(command, estimator), *FLAG_ARGV[name],
+        *(BOOTSTRAP_EXTRA if command == "bootstrap" else [])], [name])
+      for command in ("estimate", "bootstrap") for estimator in READS for name in FLAG_ARGV
+      if name not in READS[estimator] and not (command == "bootstrap" and name == "--seed")],
 ]
+
+
+@pytest.fixture(scope="module")
+def probit_model(tmp_path_factory):
+    path = tmp_path_factory.mktemp("model") / "probit.json"
+    write_json(path, PROBIT)
+    return path
 
 
 @pytest.mark.parametrize("argv,named", FOREIGN_FLAGS, ids=lambda v: " ".join(v))
 def test_a_flag_the_estimator_does_not_read_exits_2_naming_it(
-    argv, named, probit_csv, tmp_path, capsys
+    argv, named, probit_csv, probit_model, tmp_path, capsys
 ):
-    command, *flags = argv
+    command, *flags = [probit_model if a == MODEL else a for a in argv]
     argv = [command, "--input", probit_csv, "--dims", "4,4", *flags, "--out", tmp_path / "out"]
     capsys.readouterr()
     assert main([str(a) for a in argv]) == 2
@@ -250,13 +288,11 @@ def test_a_flag_the_estimator_does_not_read_exits_2_naming_it(
 
 
 @pytest.mark.parametrize("command", ["estimate", "bootstrap"])
-def test_the_flags_each_estimator_reads_are_accepted(command, probit_csv, tmp_path):
-    extra = ["--b", "40", "--seed", "1", "--workers", "2"] if command == "bootstrap" else []
-    for i, flags in enumerate([
-        ["--estimator", "ols", "--outcome", "1", "--regressors", "0", "--no-intercept"],
-        ["--estimator", "quantile", "--tau", "0.25", "--coordinate", "1"],
-        ["--estimator", "mean"],
-    ]):
+def test_the_flags_each_estimator_reads_are_accepted(command, probit_csv, probit_model, tmp_path):
+    extra = BOOTSTRAP_EXTRA if command == "bootstrap" else []
+    for i, estimator in enumerate(READS):
+        flags = ["--estimator", estimator, *own_flags(command, estimator)]
+        flags = [probit_model if a == MODEL else a for a in flags]
         argv = [command, "--input", probit_csv, "--dims", "4,4", *flags, *extra,
                 "--out", tmp_path / f"out{i}"]
         assert main([str(a) for a in argv]) == 0, flags

@@ -105,8 +105,10 @@ def files(tmp_path_factory):
     return root
 
 
-def run(argv, out_dir: Path) -> int:
-    """Exit code of one ``main`` run, checked against the contract."""
+def run(argv, out_dir: Path, foreign=()) -> int:
+    """Exit code of one ``main`` run, checked against the contract; if
+    argparse accepts ``argv``, each of the ``foreign`` flags it holds must be
+    refused by name."""
     err = io.StringIO()
     with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
         with warnings.catch_warnings():
@@ -115,7 +117,7 @@ def run(argv, out_dir: Path) -> int:
                 code = main([str(a) for a in argv])
             except SystemExit as exc:  # argparse refusing a flag
                 assert exc.code == 2
-                code = 2
+                code, foreign = 2, ()
     text = err.getvalue()
     assert "Traceback" not in text, text
     assert code in EXIT_CODES, (code, text)
@@ -123,6 +125,9 @@ def run(argv, out_dir: Path) -> int:
         assert names_what_to_fix(text.splitlines()[-1], argv), text
     if code != 0:
         assert not list(out_dir.iterdir()), (code, text)
+    if foreign:
+        assert code == 2, (foreign, text)
+        assert set(foreign) <= set(re.findall(r"--[a-z-]+", text.splitlines()[-1])), text
     return code
 
 
@@ -168,14 +173,55 @@ INPUTS = pick(
      *[("probit.csv", dims) for dims in ["2,2", "2,2,2", "4", None, *BAD_DIMS]]],
 )
 
-ESTIMATOR_FLAGS = [
-    flag("--estimator", "mean", "ratio", "ols", "quantile", "gmm"),
-    flag("--outcome", "0", "1", "5"),
-    flag("--regressors", "1", "0", "0,1", "1,1", "5"),
-    st.sampled_from([[], ["--no-intercept"]]),
-    flag("--tau", "0.5", "0.25"),
-    flag("--coordinate", "0", "1", "5"),
-]
+ESTIMATORS = ["mean", "ratio", "ols", "quantile", "gmm"]
+# The estimator flags each estimator reads, written here rather than taken
+# from multiway.cli so that the fuzz checks its table; in bootstrap, --seed is
+# the command's own flag, read for every estimator.
+READS = {
+    "mean": [], "ratio": [], "ols": ["--outcome", "--regressors", "--no-intercept"],
+    "quantile": ["--tau", "--coordinate"], "gmm": ["--model-config", "--seed"],
+}
+# The valid values of each estimator flag; --no-intercept takes none, and
+# check_command gives gmm its --model-config, so another estimator's is a stub.
+FLAG_VALUES = {
+    "--outcome": ["0", "1", "5"], "--regressors": ["1", "0", "0,1", "1,1", "5"],
+    "--no-intercept": None, "--tau": ["0.5", "0.25"], "--coordinate": ["0", "1", "5"],
+    "--model-config": ["m.json"], "--seed": ["1"],
+}
+
+
+def estimator_flag(name):
+    """``name`` with a :func:`pick` value, or alone if it takes none."""
+    values = FLAG_VALUES[name]
+    return st.just([name]) if values is None else pick(values, EDGE).map(lambda v: [name, v])
+
+
+# The estimator flags of each command
+COMMAND_FLAGS = {"estimate": list(FLAG_VALUES),
+                 "bootstrap": [name for name in FLAG_VALUES if name != "--seed"]}
+
+
+def foreign_flags(command, estimator):
+    """The estimator flags of ``command`` that ``estimator`` does not read."""
+    return [name for name in COMMAND_FLAGS[command] if name not in READS.get(estimator, [])]
+
+
+def estimator_flags(command):
+    """--estimator (or none, for ratio), then some of the flags it reads or,
+    one time in five, as the edge value, one flag that another estimator reads."""
+
+    def flags_of(estimator_argv):
+        estimator = estimator_argv[-1] if estimator_argv else "ratio"
+        own = [name for name in READS.get(estimator, [])
+               if name in COMMAND_FLAGS[command] and name != "--model-config"]
+        own = argv_of(*[st.one_of(st.just([]), estimator_flag(name)) for name in own])
+        foreign = st.sampled_from(foreign_flags(command, estimator)).flatmap(estimator_flag)
+        return pick([own], [argv_of(own, foreign)]).flatmap(
+            lambda strategy: strategy.map(lambda flags: [*estimator_argv, *flags])
+        )
+
+    return flag("--estimator", *ESTIMATORS).flatmap(flags_of)
+
 
 # The values of each model-config key, and the keys each family reads beside
 # family, bounds, xi and optimizer. A document holds only the keys of its
@@ -226,8 +272,7 @@ MODELS = pick([st.just(VALID_PROBIT), MODEL_CONFIG], [MODEL_FILES]).flatmap(
 @given(
     dataset=INPUTS,
     flags=argv_of(
-        *ESTIMATOR_FLAGS,
-        flag("--seed", "1"),
+        estimator_flags("estimate"),
         flag("--variance", "v1", "v2", "cgm", "v1,v2,cgm", "v3"),
         flag("--alpha", "0.05", "0.2"),
         flag("--adjustment", "unit", "cgm"),
@@ -242,7 +287,7 @@ def test_estimate_contract(files, dataset, flags, model):
 @given(
     dataset=INPUTS,
     flags=argv_of(
-        *ESTIMATOR_FLAGS,
+        estimator_flags("bootstrap"),
         flag("--b", "5", "10", edge=["0", "-1", "1", "1.5", ""]),
         flag("--alpha", "0.5", "0.2"),
         flag("--seed", "1"),
@@ -291,9 +336,10 @@ def check_command(command, files, dataset, flags, model, out_name):
         argv = [command, "--input", files / dataset, *flags, "--out", out_dir / out_name]
         if dims is not None:
             argv += ["--dims", dims]
-        if "gmm" in flags:
+        estimator = flags[flags.index("--estimator") + 1] if "--estimator" in flags else "ratio"
+        if estimator == "gmm":
             argv += ["--model-config", model_path]
-        run(argv, out_dir)
+        run(argv, out_dir, [a for a in flags if a in foreign_flags(command, estimator)])
 
 
 @FUZZ

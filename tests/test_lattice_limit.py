@@ -14,7 +14,7 @@ from multiway.simulation import MAX_UNITS, CellSizeLaw, DgpSpec, _check_unit_cou
 BIG = "1000,1000,1000"
 MESSAGE = (
     "error: dims 1000,1000,1000: pi_c = 1000000000 cells exceeds the dense-lattice "
-    "limit of 268435456; each per-cell float64 array would need 8000000000 bytes "
+    "limit of 16777216; each per-cell float64 array would need 8000000000 bytes "
     "(7.45 GiB)"
 )
 
@@ -96,8 +96,8 @@ def test_simulate_refuses_big_lattice(tmp_path, capsys, dgp):
 
 def test_limit_is_inclusive():
     check_dense_lattice(Dimensions((MAX_CELLS,)))
-    check_dense_lattice(Dimensions((2**14, 2**14)))
-    with pytest.raises(ConfigError, match="dims 268435457: pi_c = 268435457"):
+    check_dense_lattice(Dimensions((2**12, 2**12)))
+    with pytest.raises(ConfigError, match="dims 16777217: pi_c = 16777217"):
         check_dense_lattice(Dimensions((MAX_CELLS + 1,)))
 
 
