@@ -148,7 +148,6 @@ class BootstrapReplicates:
     indices: np.ndarray
     theta_hat: np.ndarray
     n_requested: int
-    seed: int
 
     @property
     def n_failed(self) -> int:
@@ -170,16 +169,18 @@ _REPLICATE_FAILURES = (
 def run_bootstrap(
     estimator: Callable,
     sample,
+    theta_hat,
     b: int,
     seed: int,
 ) -> BootstrapReplicates:
-    """Run ``b`` pigeonhole replicates of a weighted re-estimation procedure.
+    """Run ``b`` pigeonhole replicates of a weighted re-estimation procedure
+    around the full-sample estimate ``theta_hat``.
 
     ``estimator(sample, weights)`` must return the parameter vector for the
-    given :class:`PigeonholeWeights`; with identity weights it must
-    reproduce the unweighted estimate, which is stored as ``theta_hat``.
-    Replicate b draws its weights from the stream (seed, b), and the
-    replicates run one after another on the calling thread, so the
+    given :class:`PigeonholeWeights`; it is called exactly ``b`` times.
+    ``theta_hat`` is stored as given, the centre of the regions built from
+    the replicates. Replicate b draws its weights from the stream (seed, b),
+    and the replicates run one after another on the calling thread, so the
     estimator need not be thread-safe. Replicates that raise a
     :class:`MultiwayError`, ``LinAlgError``, ``FloatingPointError`` or
     ``RuntimeError``, or return non-finite values, are dropped and counted;
@@ -190,12 +191,8 @@ def run_bootstrap(
     """
     if b < 1:
         raise ConfigError(f"b: need at least one replicate, got {b}")
-    dims: Dimensions = sample.dims
-    theta_hat = np.atleast_1d(
-        np.asarray(estimator(sample, PigeonholeWeights.identity(dims)), dtype=np.float64)
-    )
     indices, thetas, failed = [], [], []  # failed: "<exception class>: <message>"
-    for idx, w in enumerate(_replicate_weights(dims, seed, b)):
+    for idx, w in enumerate(_replicate_weights(sample.dims, seed, b)):
         try:
             theta = np.atleast_1d(np.asarray(estimator(sample, w), dtype=np.float64))
         except _REPLICATE_FAILURES as exc:
@@ -221,9 +218,8 @@ def run_bootstrap(
     return BootstrapReplicates(
         thetas=np.vstack(thetas),
         indices=np.array(indices, dtype=np.int64),
-        theta_hat=theta_hat,
+        theta_hat=np.atleast_1d(np.asarray(theta_hat, dtype=np.float64)),
         n_requested=b,
-        seed=seed,
     )
 
 

@@ -380,7 +380,7 @@ def cmd_bootstrap(args) -> int:
     seed = _effective_seed(args.seed)
     args.seed = seed  # the GMM warm-start fit shares the printed seed
     fitted = _fit(args, sample)
-    reps = run_bootstrap(fitted.hook, fitted.prepared, args.b, seed)
+    reps = run_bootstrap(fitted.hook, fitted.prepared, fitted.theta, args.b, seed)
     sym = symmetric_abs_ci(reps, args.alpha)
     per = percentile_ci(reps, args.alpha)
     out = Path(args.out)

@@ -7,7 +7,7 @@ variance estimators consume, and its weighted companion (suffix
 ``weighted_``) as the bootstrap hook, together with the per-cell data the
 hook re-estimates from by multiplying every per-cell sum by W_j. With
 identity weights the weighted companions reproduce the unweighted
-estimate exactly. :func:`fit` is the one dispatch over all estimators,
+estimate up to rounding. :func:`fit` is the one dispatch over all estimators,
 GMM included, and refuses non-finite data for all of them.
 """
 

@@ -25,6 +25,7 @@ import numpy as np
 from .bootstrap import PigeonholeWeights
 from .data import ClusteredSample, cell_subsample, check_columns, sum_by_cell
 from .errors import (
+    ConfigError,
     ConvergenceError,
     EmptySampleError,
     ModelError,
@@ -145,6 +146,11 @@ class OptimizerConfig:
 
     def __post_init__(self):
         check_seed(self.seed)
+        for key in ("n_starts", "max_evals"):
+            if getattr(self, key) < 1:
+                raise ConfigError(f"optimizer.{key}: must be >= 1, got {getattr(self, key)}")
+        if not (math.isfinite(self.tol) and self.tol >= 0):
+            raise ConfigError(f"optimizer.tol: must be finite and >= 0, got {self.tol}")
 
 
 @dataclass(frozen=True)
@@ -381,7 +387,7 @@ def _starts(model: MomentModel, config: OptimizerConfig) -> list[np.ndarray]:
     center = model.bounds.mean(axis=1)
     rng = stream_rng(config.seed)
     out = [center]
-    for _ in range(max(config.n_starts - 1, 0)):
+    for _ in range(config.n_starts - 1):
         out.append(rng.uniform(model.bounds[:, 0], model.bounds[:, 1]))
     return out
 
@@ -392,6 +398,16 @@ def _warm_rows(sample: ClusteredSample, model: MomentModel, theta: np.ndarray):
         raise EmptySampleError("GMM needs at least one unit")
     m = model.moments(sample.values, theta)
     return m, None if model.jacobian is None else _jacobian_rows(sample, model, theta)
+
+
+def _start_simplex(x0: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """Nelder-Mead's first simplex: x0 and, per coordinate, x0 moved by a
+    tenth of the box width, inward where the step would leave the box.
+    scipy's default (5% of each coordinate, 0.00025 at zero) can see a
+    single value of a step-function objective and stop at x0."""
+    step = 0.1 * (hi - lo)
+    step = np.where(x0 + step > hi, -step, step)
+    return np.vstack([x0, x0 + np.diag(step)])
 
 
 def _minimize(sample, model, xi, config, unit_weights=None, starts=None, warm=None):
@@ -460,14 +476,17 @@ def _minimize(sample, model, xi, config, unit_weights=None, starts=None, warm=No
 
     best = (None, np.inf)
     any_converged = False
-    per_start = max(config.max_evals // max(config.n_starts, 1), 100)
+    per_start = max(config.max_evals // config.n_starts, 100)
+    lo, hi = model.bounds[:, 0], model.bounds[:, 1]
     for start in starts or _starts(model, config):
+        x0 = np.clip(start, lo, hi)
         res = optimize.minimize(
             value,
-            np.clip(start, model.bounds[:, 0], model.bounds[:, 1]),
+            x0,
             method="Nelder-Mead",
             bounds=model.bounds,
-            options={"maxfev": per_start, "xatol": 1e-7, "fatol": 1e-10},
+            options={"maxfev": per_start, "xatol": 1e-7, "fatol": 1e-10,
+                     "initial_simplex": _start_simplex(x0, lo, hi)},
         )
         budget.spend(int(res.nfev))
         any_converged = any_converged or bool(res.success)

@@ -116,8 +116,11 @@ class DgpSpec:
             self, "sigma_factors", tuple(float(s) for s in self.sigma_factors)
         )
         for name in ("sigma_factors", "sigma_cell", "sigma_unit"):
-            if not np.all(np.asarray(getattr(self, name)) >= 0):
-                raise ConfigError(f"{name}: standard deviations must be >= 0 (NaN is refused too)")
+            sd = getattr(self, name)
+            if not np.all(np.isfinite(sd) & (np.asarray(sd) >= 0)):
+                raise ConfigError(f"{name}: need finite standard deviations >= 0, got {sd}")
+        if not np.all(np.isfinite(self.beta)):
+            raise ConfigError(f"beta: coefficients must be finite, got {self.beta}")
         if self.variant == "probit":
             if len(self.beta) != 2 or len(self.error_rho) != 2:
                 raise ConfigError("beta, error_rho: the probit DGP needs two of each")
@@ -459,7 +462,9 @@ def _one_replication(config: McConfig, r: int) -> dict:
     if any(m.startswith("boot") for m in config.methods):
         boot_seed = derive_seed(config.seed, r, TAG_BOOT)
         try:
-            reps = run_bootstrap(fitted.hook, fitted.prepared, config.bootstrap_b, boot_seed)
+            reps = run_bootstrap(
+                fitted.hook, fitted.prepared, fitted.theta, config.bootstrap_b, boot_seed
+            )
             out["boot_se"] = reps.thetas.std(axis=0, ddof=1).tolist()
         except MultiwayError:
             pass

@@ -27,8 +27,8 @@ def hooked_counts(dims, seed, b):
         seen.append(weights.per_dim_counts)
         return np.array([1.0])
 
-    run_bootstrap(hook, CellSums(dims, np.ones((dims.pi_c, 1))), b=b, seed=seed)
-    return seen[1:]  # the first call is the full-sample estimate
+    run_bootstrap(hook, CellSums(dims, np.ones((dims.pi_c, 1))), [1.0], b=b, seed=seed)
+    return seen
 
 
 def assert_scalar_draws(dims, seed, b):

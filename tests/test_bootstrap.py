@@ -57,7 +57,7 @@ def test_weight_moments_small_monte_carlo():
 def test_run_bootstrap_constant_estimator():
     dims = Dimensions((3, 3))
     sums = CellSums(dims, np.ones((9, 1)))
-    reps = run_bootstrap(lambda s, w: np.array([4.25]), sums, b=20, seed=0)
+    reps = run_bootstrap(lambda s, w: np.array([4.25]), sums, [4.25], b=20, seed=0)
     assert np.all(reps.thetas == 4.25)
     assert reps.theta_hat.tolist() == [4.25]
     assert reps.n_failed == 0
@@ -67,7 +67,7 @@ def test_run_bootstrap_constant_estimator():
 def test_run_bootstrap_refuses_fewer_than_one_replicate(b):
     sums = CellSums(Dimensions((3, 3)), np.ones((9, 1)))
     with pytest.raises(ConfigError, match=rf"^b: need at least one replicate, got {b}$"):
-        run_bootstrap(lambda s, w: np.array([1.0]), sums, b=b, seed=0)
+        run_bootstrap(lambda s, w: np.array([1.0]), sums, [1.0], b=b, seed=0)
 
 
 def mean_est(s, w):
@@ -78,8 +78,8 @@ def test_run_bootstrap_deterministic_across_runs():
     dims = Dimensions((4, 4))
     rng = np.random.default_rng(4)
     sums = CellSums(dims, rng.normal(size=(16, 1)))
-    a = run_bootstrap(mean_est, sums, b=50, seed=123)
-    b = run_bootstrap(mean_est, sums, b=50, seed=123)
+    a = run_bootstrap(mean_est, sums, sums.values.mean(axis=0), b=50, seed=123)
+    b = run_bootstrap(mean_est, sums, sums.values.mean(axis=0), b=50, seed=123)
     np.testing.assert_array_equal(a.thetas, b.thetas)
 
 
@@ -93,7 +93,7 @@ def test_run_bootstrap_failures_recorded():
         return np.array([1.0])
 
     with pytest.warns(RuntimeWarning):
-        reps = run_bootstrap(flaky, sums, b=100, seed=5)
+        reps = run_bootstrap(flaky, sums, [1.0], b=100, seed=5)
     assert reps.n_failed > 0
     assert reps.thetas.shape[0] + reps.n_failed == 100
 
@@ -108,7 +108,7 @@ def test_run_bootstrap_variance_tracks_vhat1():
     a2 = rng.normal(size=20)
     s = (a1[:, None] + a2[None, :] + rng.normal(size=(20, 20))).reshape(-1, 1)
     sums = CellSums(dims, s)
-    reps = run_bootstrap(mean_est, sums, b=500, seed=7)
+    reps = run_bootstrap(mean_est, sums, s.mean(axis=0), b=500, seed=7)
     boot_var = reps.thetas[:, 0].var(ddof=1)
     plug_in = vhat1(CenteredScores(dims, s - s.mean(axis=0))).matrix[0, 0] / dims.c_min
     assert 0.75 * plug_in < boot_var < 1.25 * plug_in
@@ -121,7 +121,6 @@ def make_reps(values, theta=0.0):
         indices=np.arange(len(values)),
         theta_hat=np.array([theta]),
         n_requested=len(values),
-        seed=0,
     )
 
 

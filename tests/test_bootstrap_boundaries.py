@@ -49,8 +49,8 @@ def test_bootstrap_b_below_two_over_alpha_exits_2(tmp_path, b, code, capsys):
 
 
 def _failing_first(n_fail):
-    """A hook whose first ``n_fail`` replicates raise; the full-sample call
-    before them returns the estimate."""
+    """A hook whose first call returns the estimate and whose next
+    ``n_fail`` calls raise."""
     calls = []
 
     def hook(sums, weights):
@@ -67,7 +67,7 @@ def test_failure_warning_starts_above_one_percent(n_fail, warned):
     sums = CellSums(Dimensions((3, 3)), np.ones((9, 1)))
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        reps = run_bootstrap(_failing_first(n_fail), sums, b=100, seed=0)
+        reps = run_bootstrap(_failing_first(n_fail), sums, [1.0], b=100, seed=0)
     assert reps.n_failed == n_fail
     messages = [str(w.message) for w in caught]
     assert messages == ([f"{n_fail}/100 bootstrap replicates failed"] if warned else [])
@@ -76,7 +76,7 @@ def test_failure_warning_starts_above_one_percent(n_fail, warned):
 def _reps(values, theta=0.0):
     values = np.asarray(values, dtype=np.float64)[:, None]
     n = values.shape[0]
-    return BootstrapReplicates(values, np.arange(n), np.array([theta]), n, 0)
+    return BootstrapReplicates(values, np.arange(n), np.array([theta]), n)
 
 
 def test_order_statistic_slack_absorbs_the_float_excess():

@@ -62,7 +62,7 @@ HOOKS = {
 def test_programming_error_in_hook_propagates(case):
     hook, prepared = HOOKS[case]()
     with pytest.raises(TypeError, match="bad operand"):
-        run_bootstrap(hook, prepared, b=5, seed=1)
+        run_bootstrap(hook, prepared, [1.0], b=5, seed=1)
 
 
 def test_programming_error_in_moment_function_propagates_from_gmm_fit():
@@ -86,7 +86,7 @@ def test_numerical_failure_counts_as_failed_replicate(exc):
         raise exc
 
     with pytest.warns(RuntimeWarning, match="bootstrap replicates failed"):
-        reps = run_bootstrap(hook, sums(), b=40, seed=3)
+        reps = run_bootstrap(hook, sums(), [1.0], b=40, seed=3)
     assert 0 < reps.n_failed < 40
     assert reps.thetas.shape == (40 - reps.n_failed, 1)
 
@@ -105,7 +105,7 @@ def test_all_failed_replicates_are_counted_by_exception_class():
         raise np.linalg.LinAlgError("singular")
 
     with pytest.warns(RuntimeWarning), pytest.raises(InsufficientReplicatesError) as info:
-        run_bootstrap(hook, sums(), b=7, seed=3)
+        run_bootstrap(hook, sums(), [1.0], b=7, seed=3)
     assert str(info.value) == (
         "b: all 7 bootstrap replicates failed (ConvergenceError x3, LinAlgError x2, "
         "non-finite estimate x2); first: ConvergenceError: start 1 did not converge"

@@ -36,7 +36,8 @@ def dgp_case(**changes):
 
 
 # case -> (command, config document, environment, the field stderr must name);
-# for the "estimate" command the second entry is the estimator flags instead
+# for the "estimate" command the second entry is the estimator flags instead,
+# and for "simulate" the DGP flags
 CASES = {
     "model config array": ("gmm", [PROBIT], {}, "model config"),
     "optimizer not an object": ("gmm", {**PROBIT, "optimizer": [1]}, {}, "optimizer"),
@@ -119,6 +120,43 @@ CASES = {
     "quantile_iv without tau": (
         "gmm", {key: v for key, v in QUANTILE_IV.items() if key != "tau"}, {}, "tau: missing"
     ),
+    "optimizer n_starts zero": (
+        "gmm", {**PROBIT, "optimizer": {"n_starts": 0}}, {}, "optimizer.n_starts"
+    ),
+    "optimizer n_starts negative": (
+        "gmm", {**PROBIT, "optimizer": {"n_starts": -2}}, {}, "optimizer.n_starts"
+    ),
+    "optimizer max_evals zero": (
+        "gmm", {**PROBIT, "optimizer": {"max_evals": 0}}, {}, "optimizer.max_evals"
+    ),
+    "optimizer max_evals negative": (
+        "gmm", {**PROBIT, "optimizer": {"max_evals": -5}}, {}, "optimizer.max_evals"
+    ),
+    "optimizer tol negative": ("gmm", {**PROBIT, "optimizer": {"tol": -1.0}}, {}, "optimizer.tol"),
+    "optimizer tol NaN": (
+        "gmm", {**PROBIT, "optimizer": {"tol": float("nan")}}, {}, "optimizer.tol"
+    ),
+    "optimizer tol infinite": (
+        "gmm", {**QUANTILE_IV, "optimizer": {"tol": float("inf")}}, {}, "optimizer.tol"
+    ),
+    "dgp sigma_cell infinite": (*dgp_case(sigma_cell=float("inf")), {}, "sigma_cell"),
+    "dgp sigma_unit infinite": (*dgp_case(sigma_unit=float("inf")), {}, "sigma_unit"),
+    "dgp sigma_factors entry infinite": (
+        *dgp_case(sigma_factors=[1.0, float("inf")]), {}, "sigma_factors"
+    ),
+    "dgp beta entry NaN": (
+        *dgp_case(variant="probit", beta=[float("nan"), 1.0]), {}, "beta"
+    ),
+    "simulate beta NaN": ("simulate", ["--dgp", "probit", "--beta", "nan,1"], {}, "beta"),
+    "simulate beta overflows": (
+        "simulate", ["--dgp", "probit", "--beta", "0,1e400"], {}, "beta"
+    ),
+    "simulate sigma_cell infinite": (
+        "simulate", ["--dgp", "additive", "--sigma-cell", "inf"], {}, "sigma_cell"
+    ),
+    "simulate sigma_factors infinite": (
+        "simulate", ["--dgp", "additive", "--sigma-factors", "1,inf"], {}, "sigma_factors"
+    ),
 }
 
 
@@ -141,6 +179,8 @@ def test_malformed_config_exits_2_naming_the_field(
     write_json(config, doc)
     if command == "mc":
         argv = ["mc", "--config", config, "--out", tmp_path / "r"]
+    elif command == "simulate":
+        argv = ["simulate", "--dims", "4,4", "--seed", "1", *doc, "--out", tmp_path / "s.csv"]
     else:
         flags = ["--estimator", "gmm", "--model-config", config] if command == "gmm" else doc
         argv = ["estimate", "--input", probit_csv, "--dims", "4,4", *flags,

@@ -22,6 +22,7 @@ from multiway.gmm import (
     quantile_iv_moments,
 )
 from multiway.bootstrap import draw_weights
+from multiway.data import sample_from_cell_ids
 from multiway.variance import vhat1
 from multiway.estimators import quantile_estimate, EcdfSpec
 from multiway.estimators import fit as estimators_fit
@@ -338,8 +339,7 @@ def test_quantile_iv_recovers_known_theta():
     assert abs(fits.mean() - theta0) < 3 * se_of_mean + 1e-3
 
 
-def test_quantile_iv_two_parameters_nelder_mead():
-    # p = 2 exercises the derivative-free multistart path
+def _two_regressors():
     theta0 = np.array([1.0, -0.5])
     rng = np.random.default_rng(1)
     n = 900
@@ -348,6 +348,26 @@ def test_quantile_iv_two_parameters_nelder_mead():
     w = x1 * theta0[0] + x2 * theta0[1] + rng.normal(size=n)
     sample = sample_from_values(np.column_stack([w, x1, x2, x1, x2]), (30, 30))
     model = quantile_iv_moments(0.5, 0, [1, 2], [3, 4], bounds=[(-5, 5), (-5, 5)])
+    return theta0, sample, model
+
+
+def _intercept_and_slope():
+    """A constant regressor in the default +-10 box: on 300 units the
+    objective is a step function flat over scipy's default start simplex."""
+    theta0 = np.array([0.5, 1.5])
+    rng = np.random.default_rng(3)
+    ids = rng.integers(0, 30, 300)
+    x2 = rng.normal(size=300)
+    w = theta0[0] + theta0[1] * x2 + rng.normal(size=300)
+    values = np.column_stack([w, np.ones(300), x2])
+    sample = sample_from_cell_ids(Dimensions((6, 5)), ids, values)
+    return theta0, sample, quantile_iv_moments(0.5, 0, [1, 2], [1, 2])
+
+
+@pytest.mark.parametrize("design", [_two_regressors, _intercept_and_slope])
+def test_quantile_iv_two_parameters_nelder_mead(design):
+    # p = 2 exercises the derivative-free multistart path
+    theta0, sample, model = design()
     fit = estimators_fit("gmm", sample, model=model)
     with pytest.raises(UnsupportedError, match="Jacobian"):
         fit.variance("v1")

@@ -168,7 +168,7 @@ def test_replicate_takes_first_residual_and_jacobian_from_warm_rows():
     sample = _sample((20, 20), 3.0, seed=9)
     warm = gmm_fit(sample, probit).theta
     hook = gmm_bootstrap_estimator(model, warm_start=warm)
-    # identity weights first, as run_bootstrap does
+    # the first call takes the warm-start rows on the full sample
     hook(sample, PigeonholeWeights.identity(sample.dims))
     for b in range(5):
         weights = draw_weights(sample.dims, stream_rng(17, b))

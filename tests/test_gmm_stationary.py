@@ -326,14 +326,14 @@ def test_probit_cache_reruns_match():
     model = probit_score_moments(0, 2)
     theta_hat = gmm_fit(sample, model).theta
     hook = gmm_bootstrap_estimator(model, warm_start=theta_hat)
-    serial = run_bootstrap(hook, sample, b=40, seed=9)
-    rerun = run_bootstrap(hook, sample, b=40, seed=9)
+    serial = run_bootstrap(hook, sample, theta_hat, b=40, seed=9)
+    rerun = run_bootstrap(hook, sample, theta_hat, b=40, seed=9)
     assert rerun.thetas.tobytes() == serial.thetas.tobytes()
     assert rerun.indices.tobytes() == serial.indices.tobytes()
     assert rerun.theta_hat.tobytes() == serial.theta_hat.tobytes()
     ref = run_bootstrap(
         gmm_bootstrap_estimator(_reference_probit(0, 2), warm_start=theta_hat),
-        sample, b=40, seed=9,
+        sample, theta_hat, b=40, seed=9,
     )
     assert ref.thetas.tobytes() == serial.thetas.tobytes()
 

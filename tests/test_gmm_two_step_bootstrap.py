@@ -1,12 +1,11 @@
 """The two-step GMM bootstrap re-estimates with the two-step weight.
 
-``run_bootstrap`` stores the identity-weight replicate as ``theta_hat``,
-the centre of the symmetric-abs region, and requires it to reproduce the
-estimate. For a two-step fit that holds only if every replicate solves
-with the fitted weight Xi = (H(theta_1) + ridge I)^-1, not the identity.
-The over-identified quantile-IV case below has instruments on very
-different scales, so the identity and two-step weights give different
-estimates.
+The hook at identity weights reproduces the estimate only if every
+replicate solves with the fitted weight Xi = (H(theta_1) + ridge I)^-1,
+not the identity. The over-identified quantile-IV case below has
+instruments on very different scales, so the identity and two-step
+weights give different estimates. The symmetric-abs region of
+``bootstrap`` is centred on the printed theta for every estimator.
 """
 
 import json
@@ -65,16 +64,36 @@ def test_identity_weight_replicate_reproduces_the_estimate(case, two_step):
     fitted = fit("gmm", sample, model=model, two_step=two_step)
     theta = fitted.hook(fitted.prepared, PigeonholeWeights.identity(sample.dims))
     assert theta.tobytes() == fitted.theta.tobytes()
-    reps = run_bootstrap(fitted.hook, fitted.prepared, 5, 3)
+    reps = run_bootstrap(fitted.hook, fitted.prepared, fitted.theta, 5, 3)
     assert reps.theta_hat.tobytes() == fitted.theta.tobytes()
 
 
-def test_bootstrap_cli_centres_the_two_step_region_on_theta(tmp_path):
-    data, model, base = tmp_path / "qiv.csv", tmp_path / "model.json", tmp_path / "boot"
-    write_dataset_csv(data, quantile_iv_sample())
-    write_json(model, {**QIV, "xi": "two_step"})
-    argv = ["bootstrap", "--input", data, "--dims", "12,12", "--estimator", "gmm",
-            "--model-config", model, "--b", "40", "--seed", "1", "-o", base]
+# case -> (sample, estimator flags, model config or None)
+CENTRED = {
+    "mean": (quantile_iv_sample, ["--estimator", "mean"], None),
+    "ratio": (quantile_iv_sample, ["--estimator", "ratio"], None),
+    "ols": (quantile_iv_sample, ["--estimator", "ols", "--outcome", "0", "--regressors", "1"],
+            None),
+    "quantile": (quantile_iv_sample, ["--estimator", "quantile", "--tau", "0.5"], None),
+    "gmm-probit": (probit_sample, ["--estimator", "gmm"],
+                   {"family": "probit", "outcome_index": 0, "x_index": 1}),
+    "gmm-quantile-iv-two-step": (quantile_iv_sample, ["--estimator", "gmm"],
+                                 {**QIV, "xi": "two_step"}),
+}
+
+
+@pytest.mark.parametrize("case", list(CENTRED))
+def test_bootstrap_cli_centres_the_two_step_region_on_theta(tmp_path, case):
+    make, flags, config = CENTRED[case]
+    data, model, base = tmp_path / "d.csv", tmp_path / "model.json", tmp_path / "boot"
+    sample = make()
+    write_dataset_csv(data, sample)
+    if config is not None:
+        write_json(model, config)
+        flags = [*flags, "--model-config", model]
+    dims = ",".join(map(str, sample.dims.counts))
+    argv = ["bootstrap", "--input", data, "--dims", dims, *flags,
+            "--b", "40", "--seed", "1", "-o", base]
     assert main([str(a) for a in argv]) == 0
     ci = json.loads((tmp_path / "boot.ci.json").read_text())
     assert ci["symmetric_abs"]["center"] == ci["theta"]

@@ -32,9 +32,9 @@ def test_run_bootstrap_calls_the_hook_only_on_the_callers_thread():
         return weighted_ols(data, weights)
 
     data = OlsCellData(sample, *LinearModelSpec(0, (1,)).design(sample.values))
-    reps = run_bootstrap(hook, data, 40, 7)
+    reps = run_bootstrap(hook, data, [1.0, 2.0], 40, 7)
     assert reps.n_failed == 0
-    assert len(seen) == 41  # the identity estimate, then 40 replicates
+    assert len(seen) == 40
     assert set(seen) == {threading.get_ident()}
 
 
@@ -44,7 +44,7 @@ def test_fit_ols_builds_the_cell_blocks_when_the_hook_first_reads_them():
     data = fit("ols", sample, spec=spec).prepared
     assert "xtx" not in vars(data) and "xty" not in vars(data)
 
-    reps = run_bootstrap(weighted_ols, data, 30, 11)
+    reps = run_bootstrap(weighted_ols, data, [1.0, 2.0], 30, 11)
     assert "xtx" in vars(data) and "xty" in vars(data)
 
     # the eager per-cell blocks, scattered with np.add.at into zeros
@@ -59,8 +59,10 @@ def test_fit_ols_builds_the_cell_blocks_when_the_hook_first_reads_them():
     np.testing.assert_array_equal(data.xty, xty)
 
     eager_data = SimpleNamespace(dims=sample.dims, xtx=xtx, xty=xty)
-    eager = run_bootstrap(weighted_ols, eager_data, 30, 11)
-    fresh = run_bootstrap(weighted_ols, OlsCellData(sample, *spec.design(sample.values)), 30, 11)
+    eager = run_bootstrap(weighted_ols, eager_data, [1.0, 2.0], 30, 11)
+    fresh = run_bootstrap(
+        weighted_ols, OlsCellData(sample, *spec.design(sample.values)), [1.0, 2.0], 30, 11
+    )
     for other in (eager, fresh):
         np.testing.assert_array_equal(reps.thetas, other.thetas)
         np.testing.assert_array_equal(reps.indices, other.indices)
