@@ -19,7 +19,9 @@ from typing import Callable
 import numpy as np
 
 from .data import Dimensions
-from .errors import ConfigError, InsufficientReplicatesError, MultiwayError, ShapeError
+from .errors import (
+    ConfigError, EmptySampleError, InsufficientReplicatesError, MultiwayError, ShapeError
+)
 from .seeding import stream_raw, stream_rng
 from .variance import check_alpha
 
@@ -31,6 +33,7 @@ __all__ = [
     "SymmetricAbsRegion",
     "draw_weights",
     "min_replicates",
+    "order_statistic",
     "percentile_ci",
     "run_bootstrap",
     "symmetric_abs_ci",
@@ -49,10 +52,16 @@ def min_replicates(interval: str, alpha: float) -> int:
     return math.ceil({"symmetric-abs": 1.0, "percentile": 2.0}[interval] / check_alpha(alpha))
 
 
-def _order_statistic(sorted_values: np.ndarray, q: float) -> float:
-    n = sorted_values.shape[0]
-    k = int(math.ceil(n * q - 1e-9))
-    return float(sorted_values[min(max(k, 1), n) - 1])
+def order_statistic(sorted_values: np.ndarray, q, counts: np.ndarray | None = None):
+    """The first of ``sorted_values`` (along axis 0) whose cumulative count
+    reaches q times the total (less 1e-9), one row per level of an array q.
+    Without ``counts`` each value counts once: index ceil(n q - 1e-9) - 1.
+    A zero total is an EmptySampleError."""
+    cum = np.arange(1, sorted_values.shape[0] + 1) if counts is None else np.cumsum(counts)
+    total = cum[-1] if cum.size else 0
+    if total <= 0:
+        raise EmptySampleError("no units to take an order statistic of")
+    return sorted_values[np.searchsorted(cum, np.asarray(q) * total - 1e-9, side="left")]
 
 
 @dataclass(frozen=True)
@@ -289,7 +298,7 @@ def symmetric_abs_ci(reps: BootstrapReplicates, alpha: float) -> SymmetricAbsReg
         )
     devs = np.sort(np.linalg.norm(reps.thetas - reps.theta_hat, axis=1))
     return SymmetricAbsRegion(
-        center=reps.theta_hat, radius=_order_statistic(devs, 1 - alpha), alpha=alpha
+        center=reps.theta_hat, radius=float(order_statistic(devs, 1 - alpha)), alpha=alpha
     )
 
 
@@ -300,9 +309,5 @@ def percentile_ci(reps: BootstrapReplicates, alpha: float) -> PercentileRegion:
         raise InsufficientReplicatesError(
             f"b: {n} successful replicates cannot resolve the {alpha / 2:.4f} quantile"
         )
-    sorted_cols = np.sort(reps.thetas, axis=0)
-    lower = np.array([_order_statistic(sorted_cols[:, r], alpha / 2) for r in range(reps.n_params)])
-    upper = np.array(
-        [_order_statistic(sorted_cols[:, r], 1 - alpha / 2) for r in range(reps.n_params)]
-    )
+    lower, upper = order_statistic(np.sort(reps.thetas, axis=0), [alpha / 2, 1 - alpha / 2])
     return PercentileRegion(lower=lower, upper=upper, alpha=alpha)

@@ -19,7 +19,7 @@ from typing import Callable
 
 import numpy as np
 
-from .bootstrap import PigeonholeWeights
+from .bootstrap import PigeonholeWeights, order_statistic
 from .data import (
     CellSums,
     ClusteredSample,
@@ -323,12 +323,12 @@ def quantile_data(sample: ClusteredSample, spec: EcdfSpec, tau: float) -> Quanti
 def quantile_estimate(sample: ClusteredSample, spec: EcdfSpec, tau: float) -> Fitted:
     """Left generalized inverse of the ECDF over the observed support.
 
-    theta is the smallest observed value y with F(y) >= tau, found by the
-    bootstrap hook :func:`weighted_quantile` at identity weights. No analytic
-    variance is produced; inference goes through the pigeonhole bootstrap.
+    theta is the smallest observed value y with F(y) >= tau, the order
+    statistic its hook :func:`weighted_quantile` takes under cell weights. No
+    analytic variance is produced; inference goes through the pigeonhole bootstrap.
     """
     data = quantile_data(sample, spec, tau)
-    theta = weighted_quantile(data, PigeonholeWeights.identity(data.dims))
+    theta = np.array([order_statistic(data.sorted_values, tau)])
     meta = {"tau": tau, "n_units": data.sorted_values.shape[0]}
     return Fitted("quantile", theta, None, None, weighted_quantile, data, meta)
 
@@ -336,12 +336,7 @@ def quantile_estimate(sample: ClusteredSample, spec: EcdfSpec, tau: float) -> Fi
 def weighted_quantile(data: QuantileData, weights: PigeonholeWeights) -> np.ndarray:
     """Invert the W_j-weighted ECDF at tau over the observed support."""
     uw = weights.cell_weights()[data.sorted_cell_ids]
-    total = int(uw.sum())
-    if total <= 0:
-        raise EmptySampleError("bootstrap draw left no units in the sample")
-    cum = np.cumsum(uw)
-    k = int(np.searchsorted(cum, data.tau * total - 1e-9, side="left"))
-    return np.array([data.sorted_values[k]])
+    return np.array([order_statistic(data.sorted_values, data.tau, uw)])
 
 
 # ---------------------------------------------------------------------

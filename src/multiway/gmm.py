@@ -141,8 +141,6 @@ class OptimizerConfig:
     max_evals: int = 10000
     tol: float = 1e-9
     seed: int = 0
-    grid_points: int = 201
-    grid_rounds: int = 8
 
     def __post_init__(self):
         check_seed(self.seed)
@@ -365,13 +363,18 @@ def _gauss_newton(residual, jac_residual, start, bounds, tol, budget):
     return theta, math.sqrt(2 * f), False
 
 
-def _grid_refine(value, bounds, n_points, rounds, budget):
+# The bracketing grid: 201 points a round for 8 rounds, 1,608 of the default max_evals.
+_GRID_POINTS = 201
+_GRID_ROUNDS = 8
+
+
+def _grid_refine(value, bounds, budget):
     """Bracketing grid search for scalar, possibly piecewise-constant objectives."""
     lo, hi = float(bounds[0, 0]), float(bounds[0, 1])
     best_x, best_f = lo, np.inf
-    for _ in range(rounds):
-        xs = np.linspace(lo, hi, n_points)
-        fs = np.empty(n_points)
+    for _ in range(_GRID_ROUNDS):
+        xs = np.linspace(lo, hi, _GRID_POINTS)
+        fs = np.empty(_GRID_POINTS)
         for i, x in enumerate(xs):
             if not budget.spend():
                 return np.array([best_x]), best_f, False
@@ -379,7 +382,7 @@ def _grid_refine(value, bounds, n_points, rounds, budget):
         b = int(np.argmin(fs))
         if fs[b] < best_f:
             best_f, best_x = float(fs[b]), float(xs[b])
-        lo, hi = xs[max(b - 1, 0)], xs[min(b + 1, n_points - 1)]
+        lo, hi = xs[max(b - 1, 0)], xs[min(b + 1, _GRID_POINTS - 1)]
     return np.array([best_x]), best_f, True
 
 
@@ -463,9 +466,7 @@ def _minimize(sample, model, xi, config, unit_weights=None, starts=None, warm=No
         return gmm_objective(sample, model, xi, theta, unit_weights)
 
     if model.n_params == 1:
-        theta, val, ok = _grid_refine(
-            value, model.bounds, config.grid_points, config.grid_rounds, budget
-        )
+        theta, val, ok = _grid_refine(value, model.bounds, budget)
         if not ok:
             raise ConvergenceError(
                 "grid search exhausted its budget", best_theta=theta, best_value=val
@@ -476,7 +477,7 @@ def _minimize(sample, model, xi, config, unit_weights=None, starts=None, warm=No
 
     best = (None, np.inf)
     any_converged = False
-    per_start = max(config.max_evals // config.n_starts, 100)
+    per_start = config.max_evals // config.n_starts
     lo, hi = model.bounds[:, 0], model.bounds[:, 1]
     for start in starts or _starts(model, config):
         x0 = np.clip(start, lo, hi)
@@ -564,9 +565,8 @@ def gmm_bootstrap_estimator(
     ``dims`` so that m_bar still divides by pi_c. The units dropped would
     add exact zeros ``0 * m`` to the weighted sums, which ``moment_bar``
     and ``gmm_jhat`` add in unit order, so both keep their full-sample
-    bits for every moment layout and theta is the same bit for bit. When
-    no unit has a nonzero weight the full sample is used, and for
-    identity weights the sample itself.
+    bits for every moment layout and theta is the same bit for bit. A draw
+    that keeps no unit raises EmptySampleError, a failed replicate.
 
     For a smooth model, the per-unit moment and Jacobian rows at the warm
     start are computed once, on the first sample the hook sees, and kept
@@ -606,14 +606,12 @@ def gmm_bootstrap_estimator(
             warm = hit[1]
         cells = w != 0
         kept = cells[ids].nonzero()[0]
-        if 0 < kept.size < sample.n_units:
-            uw = w[ids[kept]].astype(np.float64)
-            sample = cell_subsample(sample, cells, kept)
-            if warm is not None:
-                warm = tuple(None if r is None else r.take(kept, axis=0) for r in warm)
-        else:
-            uw = w[ids].astype(np.float64)
-        theta, _, _ = _minimize(sample, model, xi, config, uw, starts, warm)
+        uw = w[ids[kept]].astype(np.float64)
+        if warm is not None:
+            warm = tuple(None if r is None else r.take(kept, axis=0) for r in warm)
+        theta, _, _ = _minimize(
+            cell_subsample(sample, cells, kept), model, xi, config, uw, starts, warm
+        )
         return theta
 
     return estimator

@@ -121,11 +121,10 @@ class DgpSpec:
                 raise ConfigError(f"{name}: need finite standard deviations >= 0, got {sd}")
         if not np.all(np.isfinite(self.beta)):
             raise ConfigError(f"beta: coefficients must be finite, got {self.beta}")
-        if self.variant == "probit":
-            if len(self.beta) != 2 or len(self.error_rho) != 2:
-                raise ConfigError("beta, error_rho: the probit DGP needs two of each")
-            if not all(r >= 0 for r in self.error_rho) or sum(self.error_rho) >= 1.0:
-                raise ConfigError("error_rho: shares must be >= 0 and sum to < 1")
+        if len(self.beta) != 2 or len(self.error_rho) != 2:
+            raise ConfigError("beta, error_rho: need two of each")
+        if not all(r >= 0 for r in self.error_rho) or sum(self.error_rho) >= 1.0:
+            raise ConfigError("error_rho: shares must be finite, >= 0 and sum to < 1")
 
 
 def _check_dims(dgp: DgpSpec, dims: Dimensions) -> None:

@@ -147,7 +147,11 @@ CASES = {
     "dgp beta entry NaN": (
         *dgp_case(variant="probit", beta=[float("nan"), 1.0]), {}, "beta"
     ),
+    "dgp beta three entries, additive": (*dgp_case(beta=[1.0, 2.0, 3.0]), {}, "beta"),
     "simulate beta NaN": ("simulate", ["--dgp", "probit", "--beta", "nan,1"], {}, "beta"),
+    "simulate error_rho NaN, additive": (
+        "simulate", ["--dgp", "additive", "--error-rho", "nan,0"], {}, "error_rho"
+    ),
     "simulate beta overflows": (
         "simulate", ["--dgp", "probit", "--beta", "0,1e400"], {}, "beta"
     ),

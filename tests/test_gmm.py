@@ -5,7 +5,9 @@ import math
 import numpy as np
 import pytest
 
-from multiway import Dimensions, ModelError, UnsupportedError, load_sample, ratio_estimate
+from multiway import (
+    ConvergenceError, Dimensions, ModelError, UnsupportedError, load_sample, ratio_estimate
+)
 from multiway.gmm import (
     MomentModel,
     OptimizerConfig,
@@ -375,6 +377,15 @@ def test_quantile_iv_two_parameters_nelder_mead(design):
     # moment norm at the optimum beats the norm at the truth's neighborhood scale
     obj_true = gmm_objective(sample, model, WeightMatrix.identity(2), theta0)
     assert fit.meta["objective_value"] <= obj_true + 1e-9
+
+
+def test_nelder_mead_spends_from_max_evals():
+    # each of the 5 starts gets 50 // 5 = 10 evaluations, too few to converge;
+    # a floor of 100 per start would spend 415 of the 50 and converge
+    _, sample, _ = _intercept_and_slope()
+    model = quantile_iv_moments(0.5, 0, [1, 2], [1, 2], bounds=[(-3, 3), (-3, 3)])
+    with pytest.raises(ConvergenceError, match="Nelder-Mead"):
+        gmm_fit(sample, model, config=OptimizerConfig(n_starts=5, max_evals=50))
 
 
 def test_quantile_iv_validates_tau():

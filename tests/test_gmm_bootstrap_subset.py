@@ -10,8 +10,9 @@ import pytest
 
 import multiway.gmm as gmm
 from multiway import ClusteredSample, Dimensions, PigeonholeWeights
-from multiway.bootstrap import draw_weights
+from multiway.bootstrap import draw_weights, run_bootstrap
 from multiway.data import cell_subsample, sample_from_cell_ids
+from multiway.errors import EmptySampleError
 from multiway.gmm import (
     MomentModel,
     OptimizerConfig,
@@ -26,7 +27,7 @@ from multiway.gmm import (
 from multiway.seeding import stream_rng
 
 N_DRAWS = 50
-GRID = OptimizerConfig(grid_points=41, grid_rounds=4)
+GRID = OptimizerConfig()
 
 
 def _sample(counts, mu, seed):
@@ -179,17 +180,6 @@ def test_replicate_takes_first_residual_and_jacobian_from_warm_rows():
         assert theta.tobytes() == expected.tobytes(), b
 
 
-def test_identity_weights_take_full_sample(minimized_samples):
-    model, counts, mu, config = PATHS["probit"]
-    sample = _sample(counts, mu, seed=7)
-    fit = gmm_fit(sample, model)
-    hook = gmm_bootstrap_estimator(model, warm_start=fit.theta)
-    minimized_samples.clear()
-    theta = hook(sample, PigeonholeWeights.identity(sample.dims))
-    assert len(minimized_samples) == 1 and minimized_samples[0] is sample
-    np.testing.assert_allclose(theta, fit.theta, atol=1e-6)
-
-
 def _sparse_sample():
     """3x3 lattice with units in row 1 only: cells (1,1), (1,2) and (1,3)."""
     rng = np.random.default_rng(8)
@@ -201,7 +191,7 @@ def _sparse_sample():
     return sample_from_cell_ids(dims, ids, np.column_stack([w, x1, x1, y]))
 
 
-@pytest.mark.parametrize(
+SPARSE_MODELS = pytest.mark.parametrize(
     "model,config",
     [
         (probit_score_moments(3, 1), OptimizerConfig()),
@@ -209,18 +199,35 @@ def _sparse_sample():
     ],
     ids=["probit", "quantile_iv_grid"],
 )
-def test_no_nonzero_unit_uses_full_sample(model, config, minimized_samples):
+
+
+@SPARSE_MODELS
+def test_no_nonzero_unit_fails_the_replicate(model, config):
     sample = _sparse_sample()
     # row 1 drawn zero times: every occupied cell gets weight 0
     weights = PigeonholeWeights(
         sample.dims, (np.array([0, 3, 0]), np.array([1, 1, 1]))
     )
     assert not weights.cell_weights()[sample.unit_cell_ids].any()
+    hook = gmm_bootstrap_estimator(model, config=config, warm_start=np.full(model.n_params, 0.25))
+    with pytest.raises(EmptySampleError):
+        hook(sample, weights)
+
+
+@SPARSE_MODELS
+def test_run_bootstrap_counts_an_empty_draw_as_failed(model, config):
+    sample = _sparse_sample()
     warm = np.full(model.n_params, 0.25)
-    theta = gmm_bootstrap_estimator(model, config=config, warm_start=warm)(sample, weights)
-    assert minimized_samples[0] is sample
-    expected = _reference(sample, model, config, weights, warm)
-    assert theta.tobytes() == expected.tobytes()
+    hook = gmm_bootstrap_estimator(model, config=config, warm_start=warm)
+    # the occupied cells are row 1's: a draw keeps none of them when cluster 1
+    # of the first dimension is drawn zero times
+    empty = sum(
+        draw_weights(sample.dims, stream_rng(5, b)).per_dim_counts[0][0] == 0 for b in range(40)
+    )
+    assert empty == 15
+    with pytest.warns(RuntimeWarning, match="15/40 bootstrap replicates failed"):
+        reps = run_bootstrap(hook, sample, warm, 40, 5)
+    assert reps.n_failed == empty
 
 
 def test_cell_subsample_keeps_dims_and_order():
