@@ -12,6 +12,15 @@ The lattices are small so the whole manifest runs in a few seconds.
 Inputs come from the ``sim-*`` cases, which therefore run first; the
 JSON config documents below are written to a separate config directory
 and are not outputs.
+
+Output bytes depend on the instruction set: OpenBLAS picks its kernels
+by CPU and numpy its SIMD loops, and each sums in its own order. So
+:func:`run_all` replays the whole manifest in one child interpreter whose
+environment pins both to AVX2 (``PINNED_ENV``: OpenBLAS's Haswell
+kernels on one thread, numpy dispatch capped at X86_V3). The expected
+files are the bytes of that pinned kernel, and the host that runs the
+manifest needs AVX2 (any x86-64-v3 CPU); without it the pinned kernels
+cannot run.
 """
 
 from __future__ import annotations
@@ -19,11 +28,21 @@ from __future__ import annotations
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
 HERE = Path(__file__).resolve().parent
 EXPECTED = HERE / "expected"
+# Environment of the child that replays the manifest; NPY_DISABLE_CPU_FEATURES
+# is dropped, because numpy refuses it beside NPY_ENABLE_CPU_FEATURES.
+PINNED_ENV = {
+    "OPENBLAS_CORETYPE": "Haswell",
+    "OPENBLAS_NUM_THREADS": "1",
+    "NPY_ENABLE_CPU_FEATURES": "X86_V3",
+}
 
 PROBIT = {"family": "probit", "outcome_index": 0, "x_index": 1}
 CONFIGS = {
@@ -156,8 +175,26 @@ def run_case(argv: list[str]) -> tuple[int, str]:
 
 
 def run_all(work: Path) -> tuple[Path, list[str]]:
-    """Run the manifest under ``work``; returns the output directory and
-    the names of the cases that exited nonzero."""
+    """Run the manifest under ``work`` in one child interpreter with the
+    ``PINNED_ENV`` kernels and the ``src/`` tree of this checkout; returns
+    the output directory and the names of the cases that exited nonzero."""
+    env = {k: v for k, v in os.environ.items() if k != "NPY_DISABLE_CPU_FEATURES"}
+    env.update(PINNED_ENV)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(HERE.parents[1] / "src"), str(HERE.parent), env.get("PYTHONPATH", "")]
+    )
+    child = subprocess.run(
+        [sys.executable, "-m", "golden.cases", str(work)],
+        env=env, capture_output=True, text=True, check=False,
+    )
+    if child.returncode != 0:
+        raise RuntimeError(f"golden manifest child exited {child.returncode}:\n{child.stderr}")
+    return work / "out", json.loads((work / "failed.json").read_text(encoding="utf-8"))
+
+
+def _run_all_here(work: Path) -> None:
+    """Run the manifest under ``work`` in this interpreter and write the
+    names of the cases that exited nonzero to ``work/failed.json``."""
     out_dir, config_dir = work / "out", work / "config"
     out_dir.mkdir(parents=True)
     config_dir.mkdir(parents=True)
@@ -169,4 +206,8 @@ def run_all(work: Path) -> tuple[Path, list[str]]:
         (out_dir / f"{case}.stderr").write_text(text, encoding="utf-8")
         if code != 0:
             failed.append(f"{case} (exit {code})")
-    return out_dir, failed
+    (work / "failed.json").write_text(json.dumps(failed), encoding="utf-8")
+
+
+if __name__ == "__main__":
+    _run_all_here(Path(sys.argv[1]))
