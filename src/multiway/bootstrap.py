@@ -100,6 +100,15 @@ class PigeonholeWeights:
         grid = reduce(np.multiply.outer, self.per_dim_counts)
         return grid.reshape(-1)
 
+    def weighted_sum(self, values: np.ndarray) -> np.ndarray:
+        """sum_j W_j values_j over per-cell rows (pi_c, ...), one dimension's
+        counts at a time, so no (pi_c,) weight vector is built. einsum adds
+        the rows in order on every CPU; BLAS picks its rounding by CPU."""
+        out = values
+        for counts in self.per_dim_counts:
+            out = np.einsum("i,ij->j", counts.astype(np.float64), out.reshape(counts.size, -1))
+        return out.reshape(values.shape[1:])
+
 
 def draw_weights(dims: Dimensions, rng: np.random.Generator) -> PigeonholeWeights:
     """One pigeonhole draw: per dimension, C_i uniform draws tallied to counts."""
@@ -167,12 +176,11 @@ class BootstrapReplicates:
         return self.thetas.shape[1]
 
 
-# Exceptions that count a replicate as failed; anything else (TypeError,
-# KeyError, ...) is a programming error and propagates. RuntimeError stays
-# in because hooks signal run-time failures with it (ConvergenceError is one).
-_REPLICATE_FAILURES = (
-    MultiwayError, np.linalg.LinAlgError, FloatingPointError, RuntimeError
-)
+# Exceptions that count a replicate as failed: the package's own refusals
+# (ConvergenceError, EmptySampleError, ...) and LinAlgError, which eigvalsh,
+# solve and svd raise when they do not converge. Anything else (TypeError,
+# NotImplementedError, RecursionError, ...) is a programming error and propagates.
+_REPLICATE_FAILURES = (MultiwayError, np.linalg.LinAlgError)
 
 
 def run_bootstrap(
@@ -191,12 +199,12 @@ def run_bootstrap(
     the replicates. Replicate b draws its weights from the stream (seed, b),
     and the replicates run one after another on the calling thread, so the
     estimator need not be thread-safe. Replicates that raise a
-    :class:`MultiwayError`, ``LinAlgError``, ``FloatingPointError`` or
-    ``RuntimeError``, or return non-finite values, are dropped and counted;
-    more than 1% failures emits a warning, and if every replicate fails the
-    InsufficientReplicatesError counts them by exception class and quotes
-    the first message. Any other exception propagates. A ``b`` below 1 is
-    a ConfigError naming ``b``.
+    :class:`MultiwayError` or ``LinAlgError``, or return non-finite values,
+    are dropped and counted; more than 1% failures emits a warning, and if
+    every replicate fails the InsufficientReplicatesError counts them by
+    exception class and quotes the first message. Any other exception,
+    RuntimeError included, propagates. A ``b`` below 1 is a ConfigError
+    naming ``b``.
     """
     if b < 1:
         raise ConfigError(f"b: need at least one replicate, got {b}")

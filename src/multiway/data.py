@@ -38,12 +38,12 @@ __all__ = [
 
 # Largest lattice the dense layout accepts, so that every accepted lattice
 # runs to an exit code in a 2,000,000 KiB address space (`ulimit -v 2000000`).
-# The heavier command is `bootstrap --estimator ratio --b 40`; on a 3-unit CSV
-# its peak address space (VmPeak, 2-CPU x86-64, numpy 2.4.6) is 417,836 KiB
-# at 2048x2048 and 1,208,112 KiB at 4096x4096: 64.3 bytes per cell over a
-# fixed 158 MB. `estimate --variance v1,v2,cgm` takes 40.5 bytes per cell
-# over 276 MB. That allows 29.4 million cells (5400x5400 ran at 1,984,476
-# KiB, 5700x5700 ran out). 2^24 cells (4096x4096) leaves 0.8 GB for hosts
+# On a 3-unit CSV the peak address space (VmPeak, 2-CPU x86-64, numpy 2.4.6)
+# of `estimate --variance v1,v2,cgm` is 434,932 KiB at 2048x2048 and 932,136
+# KiB at 4096x4096 (40.5 bytes per cell over a fixed 276 MB), and that of
+# `bootstrap --estimator ratio --b 40` 342,416 and 932,240 KiB (48.0 bytes per
+# cell over 149 MB); the two are the heaviest at 4096x4096. The steeper one
+# allows 39.5 million cells. 2^24 cells (4096x4096) leaves 1.0 GB for hosts
 # whose BLAS starts more threads (each maps about 42 MB more).
 MAX_CELLS = 2**24
 

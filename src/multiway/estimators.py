@@ -5,10 +5,11 @@ observation vectors. Each estimator returns a
 :class:`Fitted`: its point estimate, the per-cell score vectors that the
 variance estimators consume, and its weighted companion (suffix
 ``weighted_``) as the bootstrap hook, together with the per-cell data the
-hook re-estimates from by multiplying every per-cell sum by W_j. With
-identity weights the weighted companions reproduce the unweighted
-estimate up to rounding. :func:`fit` is the one dispatch over all estimators,
-GMM included, and refuses non-finite data for all of them.
+hook re-estimates from. The mean, ratio and OLS hooks sum W_j times their
+per-cell sums with :meth:`PigeonholeWeights.weighted_sum`; the mean and
+ratio estimates are their hooks at identity weights, exactly, and the OLS
+hook reproduces its unit-level fit up to rounding. :func:`fit` is the one
+dispatch over all estimators, GMM included, and refuses non-finite data.
 """
 
 from __future__ import annotations
@@ -109,17 +110,17 @@ class Fitted:
 
 
 def mean_estimate(sample: ClusteredSample) -> Fitted:
-    """Mean of the cell sums S_j of the observations; scores are the
-    centered sums S_j - theta."""
+    """Mean of the cell sums S_j of the observations, :func:`weighted_mean`
+    at identity weights; scores are the centered sums S_j - theta."""
     sums = cell_sums(sample)
-    theta = sums.values.mean(axis=0)
+    theta = weighted_mean(sums, PigeonholeWeights.identity(sample.dims))
     scores = CenteredScores(sample.dims, sums.values - theta)
     return Fitted("mean", theta, scores, None, weighted_mean, sums, {"n_units": sample.n_units})
 
 
 def weighted_mean(sums: CellSums, weights: PigeonholeWeights) -> np.ndarray:
     """theta* = (1/pi_c) sum_j W_j S_j."""
-    return (weights.cell_weights()[:, None] * sums.values).mean(axis=0)
+    return weights.weighted_sum(sums.values) / sums.dims.pi_c
 
 
 # ---------------------------------------------------------------------
@@ -138,28 +139,25 @@ def ratio_cell_sums(sample: ClusteredSample) -> CellSums:
 def ratio_estimate(sample: ClusteredSample) -> Fitted:
     """Per-unit mean with its linearized cell scores.
 
-    theta is the ratio of pooled sums to the total unit count; the scores
-    are T_j = (S_j - N_j theta) / (mean cell size), the linearization whose
+    theta is the ratio of pooled sums to the total unit count,
+    :func:`weighted_ratio` at identity weights; the scores are
+    T_j = (S_j - N_j theta) / (mean cell size), the linearization whose
     variance is estimated exactly like the plain mean's.
     """
     sums = ratio_cell_sums(sample)
+    theta = weighted_ratio(sums, PigeonholeWeights.identity(sample.dims))
     s, n = sums.values[:, :-1], sums.values[:, -1:]
     total = float(n.sum())
-    if total <= 0:
-        raise EmptySampleError("ratio estimate needs at least one unit")
-    theta = s.sum(axis=0) / total
     scores = CenteredScores(sample.dims, (s - n * theta) / (total / sample.dims.pi_c))
     return Fitted("ratio", theta, scores, None, weighted_ratio, sums, {"n_units": int(total)})
 
 
 def weighted_ratio(sums_with_counts: CellSums, weights: PigeonholeWeights) -> np.ndarray:
     """theta* = sum_j W_j S_j / sum_j W_j N_j on sums from :func:`ratio_cell_sums`."""
-    w = weights.cell_weights()[:, None]
-    v = w * sums_with_counts.values
-    total = float(v[:, -1].sum())
-    if total <= 0:
-        raise EmptySampleError("bootstrap draw left no units in the sample")
-    return v[:, :-1].sum(axis=0) / total
+    v = weights.weighted_sum(sums_with_counts.values)
+    if v[-1] <= 0:
+        raise EmptySampleError("ratio: no units in the sample or the bootstrap draw")
+    return v[:-1] / v[-1]
 
 
 # ---------------------------------------------------------------------
@@ -276,10 +274,7 @@ class OlsCellData:
 
 def weighted_ols(data: OlsCellData, weights: PigeonholeWeights) -> np.ndarray:
     """theta* from the W_j-weighted normal equations."""
-    w = weights.cell_weights().astype(np.float64)
-    gram = np.einsum("j,jpq->pq", w, data.xtx)
-    rhs = w @ data.xty
-    return _solve_gram(gram, rhs)[0]
+    return _solve_gram(weights.weighted_sum(data.xtx), weights.weighted_sum(data.xty))[0]
 
 
 # ---------------------------------------------------------------------

@@ -181,7 +181,7 @@ def run_all(work: Path) -> tuple[Path, list[str]]:
     env = {k: v for k, v in os.environ.items() if k != "NPY_DISABLE_CPU_FEATURES"}
     env.update(PINNED_ENV)
     env["PYTHONPATH"] = os.pathsep.join(
-        [str(HERE.parents[1] / "src"), str(HERE.parent), env.get("PYTHONPATH", "")]
+        filter(None, [str(HERE.parents[1] / "src"), str(HERE.parent), env.get("PYTHONPATH")])
     )
     child = subprocess.run(
         [sys.executable, "-m", "golden.cases", str(work)],

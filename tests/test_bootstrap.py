@@ -6,6 +6,7 @@ import pytest
 from multiway import (
     CellSums,
     ConfigError,
+    ConvergenceError,
     Dimensions,
     InsufficientReplicatesError,
     draw_weights,
@@ -89,7 +90,7 @@ def test_run_bootstrap_failures_recorded():
 
     def flaky(s, w):
         if w.cell_weights()[0] >= 2:
-            raise RuntimeError("boom")
+            raise ConvergenceError("boom")
         return np.array([1.0])
 
     with pytest.warns(RuntimeWarning):

@@ -52,16 +52,25 @@ def gmm_hook_failing_on_replicates():
     return gmm_bootstrap_estimator(model, warm_start=theta), sample
 
 
+def raising(exc_type):
+    return lambda: (failing_on_replicates(exc_type("bad operand")), sums())
+
+
+# case -> (hook, sample) whose replicates raise a programming error, "bad operand"
 HOOKS = {
-    "hook": lambda: (failing_on_replicates(TypeError("bad operand")), sums()),
+    "hook": raising(TypeError),
     "gmm moment function": gmm_hook_failing_on_replicates,
+    "FloatingPointError": raising(FloatingPointError),
+    "NotImplementedError": raising(NotImplementedError),
+    "RecursionError": raising(RecursionError),
 }
+PROGRAMMING_ERRORS = (TypeError, FloatingPointError, NotImplementedError, RecursionError)
 
 
 @pytest.mark.parametrize("case", list(HOOKS))
 def test_programming_error_in_hook_propagates(case):
     hook, prepared = HOOKS[case]()
-    with pytest.raises(TypeError, match="bad operand"):
+    with pytest.raises(PROGRAMMING_ERRORS, match="bad operand"):
         run_bootstrap(hook, prepared, [1.0], b=5, seed=1)
 
 
@@ -76,7 +85,6 @@ def test_programming_error_in_moment_function_propagates_from_gmm_fit():
     [
         ConvergenceError("no convergence"),
         np.linalg.LinAlgError("singular"),
-        FloatingPointError("overflow"),
     ],
 )
 def test_numerical_failure_counts_as_failed_replicate(exc):
