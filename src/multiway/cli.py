@@ -23,10 +23,10 @@ from pathlib import Path
 import numpy as np
 
 from .bootstrap import min_replicates, percentile_ci, run_bootstrap, symmetric_abs_ci
-from .data import Dimensions
+from .data import Dimensions, check_dense_lattice
 from .dataio import SCHEMA_VERSION, read_dataset, write_dataset_csv, write_json
 from .errors import ConfigError, InsufficientReplicatesError, MultiwayError
-from .estimators import EcdfSpec, Fitted, LinearModelSpec, fit
+from .estimators import EcdfSpec, Fitted, LinearModelSpec, cell_columns, fit
 from .gmm import OptimizerConfig, probit_score_moments, quantile_iv_moments
 from .seeding import check_seed
 from .simulation import CellSizeLaw, DgpSpec, McConfig, generate, run_coverage
@@ -289,8 +289,18 @@ def _estimator_flags(args, own=()) -> None:
         raise ConfigError(f"{', '.join(foreign)}: not read by --estimator {args.estimator}")
 
 
-def _fit(args, sample) -> Fitted:
-    return fit(args.estimator, sample, **_FIT_OPTIONS[args.estimator](args))
+def _fit(args, sample, command: str) -> Fitted:
+    """Fit ``--estimator``; first refuse, before any per-cell array of the fit
+    is allocated, a lattice on which it would keep more than the
+    dense-lattice byte budget (``command`` "bootstrap" counts the hook's
+    arrays too)."""
+    options = _FIT_OPTIONS[args.estimator](args)
+    columns = cell_columns(
+        args.estimator, sample.obs_dim, command == "bootstrap",
+        options.get("spec"), options.get("model"),
+    )
+    check_dense_lattice(sample.dims, columns, f"{command} --estimator {args.estimator}")
+    return fit(args.estimator, sample, **options)
 
 
 def _load_input(args):
@@ -323,7 +333,7 @@ def cmd_estimate(args) -> int:
     kinds = None if args.variance is None else _variance_kinds(args.variance)
     print(f"seed: {args.seed}", file=sys.stderr)
     sample = _load_input(args)
-    fitted = _fit(args, sample)
+    fitted = _fit(args, sample, "estimate")
     if kinds is None:
         kinds = ["v1"] if fitted.has_variance else []
     variances = {}
@@ -379,7 +389,7 @@ def cmd_bootstrap(args) -> int:
     sample = _load_input(args)
     seed = _effective_seed(args.seed)
     args.seed = seed  # the GMM warm-start fit shares the printed seed
-    fitted = _fit(args, sample)
+    fitted = _fit(args, sample, "bootstrap")
     reps = run_bootstrap(fitted.hook, fitted.prepared, fitted.theta, args.b, seed)
     sym = symmetric_abs_ci(reps, args.alpha)
     per = percentile_ci(reps, args.alpha)

@@ -20,6 +20,7 @@ import numpy as np
 from .errors import ConfigError, ShapeError
 
 __all__ = [
+    "LATTICE_BYTES",
     "MAX_CELLS",
     "CellSums",
     "ClusteredSample",
@@ -46,6 +47,19 @@ __all__ = [
 # allows 39.5 million cells. 2^24 cells (4096x4096) leaves 1.0 GB for hosts
 # whose BLAS starts more threads (each maps about 42 MB more).
 MAX_CELLS = 2**24
+# Budget for the float64 columns per cell that a fit keeps at its peak, beyond
+# the sample's cell offsets and sizes (`estimators.cell_columns`): the 4 columns
+# of the one-outcome ratio bootstrap above at MAX_CELLS, so that no accepted fit
+# needs more address space than it. Measured as above between 2048x2048 and
+# 4096x4096, a fit's VmPeak grows by 8 bytes per cell times 2 plus its columns
+# (the quantile bootstrap by 3.04 columns, the ratio and OLS estimates by about
+# one less). Before this budget, at 4096x4096 on 12 units with 4 or 8
+# observation columns, the OLS bootstrap with 2 regressors (16 columns) and the
+# mean of 8 columns (16) died with a MemoryError, the mean of 4 (8) peaked at
+# 1,614,580 KiB, and on 40 units a probit GMM bootstrap (7) at 1,376,576 KiB and
+# a quantile IV one (6) at 1,093,644; all are refused now. The quantile
+# bootstrap (1) peaks at 552,816 KiB there.
+LATTICE_BYTES = 8 * 4 * MAX_CELLS
 
 
 @dataclass(frozen=True)
@@ -181,15 +195,25 @@ def load_sample(
     return sample_from_cell_ids(dims, flat_ids, values)
 
 
-def check_dense_lattice(dims: Dimensions) -> None:
+def check_dense_lattice(dims: Dimensions, columns: int = 0, what: str = "") -> None:
     """Refuse, before anything of length pi_c is allocated, a lattice with
-    more than :data:`MAX_CELLS` cells."""
+    more than :data:`MAX_CELLS` cells, or one on which ``what`` (a fit)
+    would keep ``columns`` float64 columns per cell of more than
+    :data:`LATTICE_BYTES` in all."""
+    name = ",".join(map(str, dims.counts))
     if dims.pi_c > MAX_CELLS:
         need = 8 * dims.pi_c
         raise ConfigError(
-            f"dims {','.join(map(str, dims.counts))}: pi_c = {dims.pi_c} cells exceeds "
+            f"dims {name}: pi_c = {dims.pi_c} cells exceeds "
             f"the dense-lattice limit of {MAX_CELLS}; each per-cell float64 array "
             f"would need {need} bytes ({need / 2**30:.2f} GiB)"
+        )
+    need = 8 * columns * dims.pi_c
+    if need > LATTICE_BYTES:
+        raise ConfigError(
+            f"dims {name}: {what} keeps {columns} float64 columns per cell, {need} bytes "
+            f"({need / 2**30:.2f} GiB) on pi_c = {dims.pi_c} cells, over the dense-lattice "
+            f"budget of {LATTICE_BYTES} bytes ({LATTICE_BYTES / 2**30:.2f} GiB)"
         )
 
 

@@ -52,6 +52,7 @@ __all__ = [
     "LinearModelSpec",
     "OlsCellData",
     "QuantileData",
+    "cell_columns",
     "fit",
     "mean_estimate",
     "ols_fit",
@@ -352,6 +353,34 @@ def _check_finite(sample: ClusteredSample) -> None:
             f"non-finite data: observation column {col} is {float(sample.values[row, col])!r} "
             f"in cell {tuple(int(c) + 1 for c in cell)}"
         )
+
+
+def cell_columns(
+    kind: str,
+    obs_dim: int,
+    bootstrap: bool,
+    spec: LinearModelSpec | EcdfSpec | None = None,
+    model: MomentModel | None = None,
+) -> int:
+    """The float64 columns per cell that :func:`fit` of ``kind`` keeps at its
+    peak, temporaries included, on a sample with ``obs_dim`` observation
+    columns; with ``bootstrap``, those of its hook's replicates too. The
+    sample's own cell offsets and sizes are not counted. Each count is the
+    growth of the measured peak address space per cell, in 8-byte columns,
+    rounded up (see :data:`multiway.data.LATTICE_BYTES`).
+    """
+    if kind == "mean":  # the cell sums and the centred scores
+        return 2 * obs_dim
+    if kind == "ratio":  # sums with sizes, scores, and a temporary of the scores
+        return 3 * obs_dim + 1
+    if kind == "ols":  # scores, one column summed at a time; Gram blocks in the hook
+        p = len(spec.regressor_indices) + spec.intercept
+        return p * p + 2 * p + 1 if bootstrap else p + 1
+    if kind == "quantile":  # the hook's cell weights
+        return int(bootstrap)
+    if kind == "gmm":  # scores; the hook's cell weights and subsample offsets
+        return model.n_moments + (5 if bootstrap else 1)
+    raise ConfigError(f"unknown estimator {kind!r}")
 
 
 def _no_jacobian(meat: np.ndarray) -> np.ndarray:

@@ -106,8 +106,8 @@ class MomentModel:
 class WeightMatrix:
     """Symmetric positive definite L x L GMM weight.
 
-    A matrix that is not square raises ShapeError; one that is not
-    symmetric positive definite raises SingularVarianceError, since the
+    A matrix that is not square raises ShapeError; one that is not finite,
+    symmetric and positive definite raises SingularVarianceError, since the
     two-step weight is the inverse of a variance estimate."""
 
     xi: np.ndarray
@@ -116,6 +116,8 @@ class WeightMatrix:
         xi = np.asarray(self.xi, dtype=np.float64)
         if xi.ndim != 2 or xi.shape[0] != xi.shape[1]:
             raise ShapeError("weight matrix must be square")
+        if not np.isfinite(xi).all():
+            raise SingularVarianceError("weight matrix must be finite")
         scale = max(np.abs(xi).max(), 1e-300)
         if np.abs(xi - xi.T).max() > 1e-12 * scale:
             raise SingularVarianceError("weight matrix must be symmetric")

@@ -10,8 +10,11 @@ enumerated: P_T = M_T'M_T for the joint margin sums M_T, which costs
 O(pi_c * m) per dimension subset, and each P_T is computed once per score
 set, on first request, and shared by every estimator that reads it.
 
-``wald_region`` imports ``scipy.special`` for its quantiles when first
-called, so importing this module loads numpy only.
+``wald_region`` takes its normal and chi-square quantiles from
+:func:`multiway.tails.wald_quantiles`, which solves for them in
+:mod:`decimal` and rounds them to float once, so they are correctly
+rounded. It imports that module when first called, so importing this
+module loads numpy only, and no Wald region loads scipy.
 """
 
 from __future__ import annotations
@@ -248,9 +251,9 @@ def _invert_pd(matrix: np.ndarray, what: str) -> np.ndarray:
 class WaldRegion:
     """Chi-square confidence ellipsoid for theta around theta_hat.
 
-    Membership: c_min (theta - theta_hat)' V^-1 (theta - theta_hat) <=
-    chi2_m(1 - alpha). ``intervals`` are the per-coordinate normal
-    intervals theta_r +/- z_{1-alpha/2} sqrt(V_rr / c_min).
+    Membership: c_min (theta - theta_hat)' V^-1 (theta - theta_hat) <= x
+    with P(chi2_m > x) = alpha. ``intervals`` are the per-coordinate normal
+    intervals theta_r +/- z sqrt(V_rr / c_min) with P(Z > z) = alpha / 2.
     """
 
     center: np.ndarray
@@ -279,6 +282,12 @@ def wald_region(
 ) -> WaldRegion:
     """Build the chi-square ellipsoid and per-coordinate intervals.
 
+    The threshold is the x with P(chi2_m > x) = alpha and the half-widths
+    scale the z with P(Z > z) = alpha / 2, both exact upper-tail quantiles
+    correctly rounded to float by :func:`multiway.tails.wald_quantiles`,
+    which caches them per (m, alpha): only the first region of a process
+    at a given level and dimension solves for them.
+
     Raises :class:`SingularVarianceError` when the variance matrix is
     indefinite or its condition number exceeds ``CONDITION_CAP`` (expected
     for vhat2 / vhat_cgm on degenerate data).
@@ -291,17 +300,16 @@ def wald_region(
     if matrix.shape != (m, m):
         raise ValueError(f"variance shape {matrix.shape} does not match theta ({m},)")
     precision = _invert_pd(matrix, "variance estimate")
-    from scipy import special  # deferred: slow to import, needed only here
+    from .tails import wald_quantiles  # deferred: decimal is needed only here
 
-    # ndtri and 2 * gammaincinv(m / 2, .) are the normal and chi-square
-    # quantiles that scipy.stats evaluates, without importing scipy.stats.
-    half = special.ndtri(1 - alpha / 2) * np.sqrt(np.diag(matrix) / dims.c_min)
+    z, threshold = wald_quantiles(m, alpha)
+    half = z * np.sqrt(np.diag(matrix) / dims.c_min)
     return WaldRegion(
         center=center,
         matrix=matrix,
         precision=precision,
         c_min=dims.c_min,
         alpha=alpha,
-        threshold=float(2 * special.gammaincinv(m / 2, 1 - alpha)),
+        threshold=threshold,
         intervals=np.column_stack((center - half, center + half)),
     )

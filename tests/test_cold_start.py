@@ -1,7 +1,10 @@
-"""Cold start: importing multiway loads numpy only.
+"""Cold start: importing multiway loads numpy only, and so do the Wald
+regions of ``estimate`` and ``mc``, whose quantiles need only the
+standard library.
 
 ``scipy.special``, ``scipy.optimize`` and ``scipy.integrate`` are imported
-inside the functions that call them, and the process pool only when
+inside the functions that call them (the probit link, linked cell sizes
+and their true value, Nelder-Mead), and the process pool only when
 ``mc`` runs more than one worker. Every check runs in a fresh interpreter,
 since an earlier test in this process may already have loaded scipy.
 """
@@ -59,6 +62,43 @@ def test_linear_and_quantile_bootstrap_load_no_scipy(additive_csv, estimator):
                 estimator, "--b", "40", "--seed", "5", "-o", base)
     assert res == {"code": 0, "heavy": []}
     assert json.loads(Path(f"{base}.ci.json").read_text())["n_failed"] == 0
+
+
+def test_ratio_estimate_with_three_wald_regions_loads_no_scipy(additive_csv):
+    out = additive_csv.parent / "est-ratio.json"
+    res = fresh("estimate", "--input", additive_csv, "--dims", "6,6", "--estimator", "ratio",
+                "--variance", "v1,v2,cgm", "-o", out)
+    assert res == {"code": 0, "heavy": []}
+    assert set(json.loads(out.read_text())["wald"]) == {"v1", "v2", "cgm"}
+
+
+def test_ols_estimate_loads_no_scipy(tmp_path):
+    data = tmp_path / "p.csv"
+    assert fresh("simulate", "--dgp", "probit", "--dims", "6,6", "--cell-sizes",
+                 "poisson:3", "--seed", "4", "-o", data)["code"] == 0
+    out = tmp_path / "est-ols.json"
+    res = fresh("estimate", "--input", data, "--dims", "6,6", "--estimator", "ols",
+                "--regressors", "1", "-o", out)
+    assert res == {"code": 0, "heavy": []}
+    assert list(json.loads(out.read_text())["wald"]) == ["v1"]
+
+
+def test_wald_mc_loads_no_scipy(tmp_path):
+    config = tmp_path / "mc.json"
+    config.write_text(json.dumps({
+        "dgp": {"variant": "additive", "sigma_factors": [1.0, 1.0],
+                "cell_sizes": {"kind": "one_plus_poisson", "mu": 2.0}},
+        "dims": [5, 5],
+        "replications": 6,
+        "methods": ["wald-v1", "wald-cgm"],
+        "estimator": "ratio",
+        "seed": 3,
+    }))
+    base = tmp_path / "mc"
+    res = fresh("mc", "--config", config, "--workers", 1, "-o", base)
+    assert res == {"code": 0, "heavy": []}
+    methods = json.loads(Path(f"{base}.json").read_text())["methods"]
+    assert {m["method"] for m in methods} == {"wald-v1", "wald-cgm"}
 
 
 def test_linked_cell_sizes_load_scipy_special_on_first_use(tmp_path):

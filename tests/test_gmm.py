@@ -8,6 +8,7 @@ import pytest
 from multiway import (
     ConvergenceError, Dimensions, ModelError, UnsupportedError, load_sample, ratio_estimate
 )
+from multiway.errors import SingularVarianceError
 from multiway.gmm import (
     MomentModel,
     OptimizerConfig,
@@ -120,6 +121,15 @@ def test_objective_scale_invariant_argmin():
     assert f2.objective_value == pytest.approx(
         math.sqrt(7) * f1.objective_value, rel=1e-6, abs=1e-12
     )
+
+
+@pytest.mark.parametrize(
+    "xi", [np.full((2, 2), np.nan), [[np.inf, 0.0], [0.0, 1.0]]], ids=["nan", "inf"]
+)
+def test_weight_matrix_refuses_non_finite_entries(xi):
+    # caught before the symmetry check, whose NaN comparison would let NaN through
+    with pytest.raises(SingularVarianceError, match="^weight matrix must be finite$"):
+        WeightMatrix(xi)
 
 
 # -- fit ---------------------------------------------------------------

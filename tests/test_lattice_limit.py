@@ -1,14 +1,18 @@
-"""Lattices too large for the dense per-cell layout are refused up front."""
+"""Lattices too large for the dense per-cell layout are refused up front,
+and so are fits that would keep more per-cell columns on a lattice than
+the dense-lattice byte budget."""
 
 import json
 import tracemalloc
 
+import numpy as np
 import pytest
 
 from multiway import Dimensions
 from multiway.cli import main
-from multiway.data import MAX_CELLS, check_dense_lattice
+from multiway.data import LATTICE_BYTES, MAX_CELLS, check_dense_lattice
 from multiway.errors import ConfigError
+from multiway.estimators import LinearModelSpec, cell_columns
 from multiway.simulation import MAX_UNITS, CellSizeLaw, DgpSpec, _check_unit_count
 
 BIG = "1000,1000,1000"
@@ -154,3 +158,62 @@ def test_unit_limit_is_inclusive():
     # product draws one unit per cell whatever the law says
     product = DgpSpec(variant="product", cell_sizes=CellSizeLaw("fixed", n=2**20))
     _check_unit_count(product, Dimensions((2**10, 2**10)))
+
+
+def _wide_csv(path, n, n_columns, n_units=12, seed=0):
+    """``n_units`` units with ``n_columns`` normal observation columns on an
+    n x n lattice, the first in cell (1, 1) and the last in cell (n, n)."""
+    rng = np.random.default_rng(seed)
+    cells = rng.integers(1, n + 1, size=(n_units, 2))
+    cells[0], cells[-1] = 1, n
+    header = ["dim1", "dim2", *(f"y{i + 1}" for i in range(n_columns))]
+    rows = [",".join(map(str, [*c, *rng.normal(size=n_columns)])) for c in cells]
+    path.write_text("\n".join([",".join(header), *rows]) + "\n")
+    return path
+
+
+@pytest.mark.parametrize(
+    "n_columns, argv, columns",
+    [
+        # 11 regressors and the intercept: 144 Gram, 24 score and cross-product columns and 1
+        (12, ["bootstrap", "--estimator", "ols", "--regressors",
+              ",".join(map(str, range(1, 12))), "--b", 40, "--seed", 1], 169),
+        (96, ["estimate", "--estimator", "mean"], 192),
+        (96, ["bootstrap", "--estimator", "ratio", "--b", 40, "--seed", 1], 289),
+    ],
+    ids=["ols-bootstrap", "mean-estimate", "ratio-bootstrap"],
+)
+def test_fit_over_the_column_budget_is_refused_before_its_cell_sums(
+    tmp_path, capsys, n_columns, argv, columns
+):
+    # 640 x 640 cells are within MAX_CELLS, but each fit would keep more than
+    # LATTICE_BYTES there; its first per-cell sums alone (n_columns columns,
+    # 39 MB or more) would exceed the traced peak allowed
+    data = _wide_csv(tmp_path / "wide.csv", 640, n_columns)
+    code, err, peak = _run_traced(
+        [argv[0], "--input", data, "--dims", "640,640", *argv[1:], "--out", tmp_path / "o"],
+        capsys,
+    )
+    assert code == 2
+    need = 8 * columns * 640**2
+    assert (f"error: dims 640,640: {argv[0]} {argv[1]} {argv[2]} keeps {columns} float64 "
+            f"columns per cell, {need} bytes") in err
+    assert f"budget of {LATTICE_BYTES} bytes" in err
+    assert peak < 24 * 2**20
+    assert list(tmp_path.iterdir()) == [data]
+
+
+def test_column_budget_is_the_ratio_bootstrap_at_max_cells():
+    """The reference fit of the budget is accepted at MAX_CELLS and one more
+    column is not; OLS with two regressors fits its estimate there but not
+    its bootstrap's Gram blocks, which failed with a MemoryError."""
+    ref = cell_columns("ratio", 1, True)
+    assert LATTICE_BYTES == 8 * ref * MAX_CELLS
+    dims = Dimensions((2**12, 2**12))
+    check_dense_lattice(dims, ref, "bootstrap --estimator ratio")
+    with pytest.raises(ConfigError, match="^dims 4096,4096: x keeps 5 float64 columns"):
+        check_dense_lattice(dims, ref + 1, "x")
+    ols = LinearModelSpec(outcome_index=0, regressor_indices=(1, 2))
+    check_dense_lattice(dims, cell_columns("ols", 4, False, ols), "estimate --estimator ols")
+    with pytest.raises(ConfigError, match="bootstrap --estimator ols keeps 16 float64 columns"):
+        check_dense_lattice(dims, cell_columns("ols", 4, True, ols), "bootstrap --estimator ols")
