@@ -18,7 +18,7 @@ from typing import Callable
 
 import numpy as np
 
-from .data import Dimensions
+from .data import Dimensions, row_sum
 from .errors import (
     ConfigError, EmptySampleError, InsufficientReplicatesError, MultiwayError, ShapeError
 )
@@ -68,8 +68,9 @@ def order_statistic(sorted_values: np.ndarray, q, counts: np.ndarray | None = No
 class PigeonholeWeights:
     """Per-dimension multinomial draw counts defining cell weights.
 
-    ``per_dim_counts[i]`` sums to C_i; the weight of cell j is the product
-    of its clusters' counts, so weights sum to pi_c exactly.
+    ``per_dim_counts[i]`` holds C_i nonnegative whole counts summing to C_i;
+    the weight of cell j is the product of its clusters' counts, so weights
+    sum to pi_c exactly.
     """
 
     dims: Dimensions
@@ -79,8 +80,12 @@ class PigeonholeWeights:
         if len(self.per_dim_counts) != self.dims.k:
             raise ShapeError("need one count vector per dimension")
         for i, (w, c) in enumerate(zip(self.per_dim_counts, self.dims.counts)):
-            if w.shape != (c,) or int(w.sum()) != c:
-                raise ShapeError(f"dimension {i}: counts must be (C_i,) summing to C_i")
+            whole = w.shape == (c,) and ((w >= 0) & (w == np.trunc(w))).all()
+            if not whole or int(w.sum()) != c:
+                raise ShapeError(
+                    f"dimension {i}: counts must be (C_i,) nonnegative whole numbers "
+                    "summing to C_i"
+                )
 
     @classmethod
     def identity(cls, dims: Dimensions) -> PigeonholeWeights:
@@ -102,11 +107,11 @@ class PigeonholeWeights:
 
     def weighted_sum(self, values: np.ndarray) -> np.ndarray:
         """sum_j W_j values_j over per-cell rows (pi_c, ...), one dimension's
-        counts at a time, so no (pi_c,) weight vector is built. einsum adds
-        the rows in order on every CPU; BLAS picks its rounding by CPU."""
+        counts at a time, so no (pi_c,) weight vector is built; each is a
+        row-order :func:`multiway.data.row_sum`, the same bits on every CPU."""
         out = values
         for counts in self.per_dim_counts:
-            out = np.einsum("i,ij->j", counts.astype(np.float64), out.reshape(counts.size, -1))
+            out = row_sum(out.reshape(counts.size, -1), counts)
         return out.reshape(values.shape[1:])
 
 

@@ -25,12 +25,12 @@ __all__ = [
     "CellSums",
     "ClusteredSample",
     "Dimensions",
-    "cell_subsample",
     "cell_sums",
     "check_columns",
     "check_dense_lattice",
     "load_sample",
     "pair_counts",
+    "row_sum",
     "sample_from_cell_ids",
     "subset_margin_sum",
     "sum_by_cell",
@@ -40,25 +40,26 @@ __all__ = [
 # Largest lattice the dense layout accepts, so that every accepted lattice
 # runs to an exit code in a 2,000,000 KiB address space (`ulimit -v 2000000`).
 # On a 3-unit CSV the peak address space (VmPeak, 2-CPU x86-64, numpy 2.4.6)
-# of `estimate --variance v1,v2,cgm` is 434,932 KiB at 2048x2048 and 932,136
-# KiB at 4096x4096 (40.5 bytes per cell over a fixed 276 MB), and that of
-# `bootstrap --estimator ratio --b 40` 342,416 and 932,240 KiB (48.0 bytes per
-# cell over 149 MB); the two are the heaviest at 4096x4096. The steeper one
-# allows 39.5 million cells. 2^24 cells (4096x4096) leaves 1.0 GB for hosts
-# whose BLAS starts more threads (each maps about 42 MB more).
+# of `estimate --variance v1,v2,cgm` is 342,376 KiB at 2048x2048 and 932,200
+# KiB at 4096x4096, and that of `bootstrap --estimator ratio --b 40` 342,396
+# and 932,220 KiB: both grow by 48.0 bytes per cell over a fixed 149 MB and
+# are the heaviest at 4096x4096. That slope allows 39.5 million cells. 2^24
+# cells (4096x4096) leaves 1.0 GB for hosts whose BLAS starts more threads
+# (each maps about 42 MB more).
 MAX_CELLS = 2**24
 # Budget for the float64 columns per cell that a fit keeps at its peak, beyond
 # the sample's cell offsets and sizes (`estimators.cell_columns`): the 4 columns
 # of the one-outcome ratio bootstrap above at MAX_CELLS, so that no accepted fit
 # needs more address space than it. Measured as above between 2048x2048 and
-# 4096x4096, a fit's VmPeak grows by 8 bytes per cell times 2 plus its columns
-# (the quantile bootstrap by 3.04 columns, the ratio and OLS estimates by about
-# one less). Before this budget, at 4096x4096 on 12 units with 4 or 8
-# observation columns, the OLS bootstrap with 2 regressors (16 columns) and the
-# mean of 8 columns (16) died with a MemoryError, the mean of 4 (8) peaked at
-# 1,614,580 KiB, and on 40 units a probit GMM bootstrap (7) at 1,376,576 KiB and
-# a quantile IV one (6) at 1,093,644; all are refused now. The quantile
-# bootstrap (1) peaks at 552,816 KiB there.
+# 4096x4096, a fit's VmPeak grows by 8 bytes per cell times 2 plus its columns.
+# On 40 units: the ratio estimate and bootstrap of d columns by 2d + 2 (4 and
+# 10 at d = 1 and 4), the probit GMM estimate and bootstrap by L + 1 = 3
+# (959,200 and 959,212 KiB at 4096x4096), the quantile IV ones with L = 1 by 2
+# (669,156 and 669,144 KiB); the quantile bootstrap grows by 3.04 columns. Before
+# this budget, at 4096x4096 on 12 units with 4 or 8 observation columns, the
+# OLS bootstrap with 2 regressors (16 columns) and the mean of 8 columns (16)
+# died with a MemoryError and the mean of 4 (8) peaked at 1,614,580 KiB; all
+# are refused now. The quantile bootstrap (1) peaks at 552,816 KiB there.
 LATTICE_BYTES = 8 * 4 * MAX_CELLS
 
 
@@ -239,22 +240,6 @@ def sample_from_cell_ids(
     return ClusteredSample(dims, values[order], offsets.astype(np.int64))
 
 
-def cell_subsample(
-    sample: ClusteredSample, cells: np.ndarray, rows: np.ndarray | None = None
-) -> ClusteredSample:
-    """The units of the cells where the (pi_c,) mask ``cells`` is True, same dims.
-
-    ``rows`` is the index of those units, ``np.flatnonzero(cells[sample.unit_cell_ids])``,
-    for a caller that has it already.
-    """
-    sizes = np.where(cells, sample.cell_sizes, 0)
-    offsets = np.concatenate(([0], np.cumsum(sizes)))
-    if rows is None:
-        rows = np.flatnonzero(cells[sample.unit_cell_ids])
-    # take with the row indices copies the rows several times faster than a boolean mask
-    return ClusteredSample(sample.dims, sample.values.take(rows, axis=0), offsets)
-
-
 def sum_by_cell(sample: ClusteredSample, rows: np.ndarray) -> np.ndarray:
     """Per-cell sums of per-unit rows, shape (n_units, ...) -> (pi_c, ...).
 
@@ -267,6 +252,35 @@ def sum_by_cell(sample: ClusteredSample, rows: np.ndarray) -> np.ndarray:
     for j in range(cols.shape[1]):
         out[:, j] = np.bincount(ids, weights=cols[:, j], minlength=n_cells)
     return out.reshape((n_cells, *rows.shape[1:]))
+
+
+def row_sum(rows: np.ndarray, weights: np.ndarray | None = None) -> np.ndarray:
+    """sum_i weights_i rows_i over the leading axis of (n, ...) ``rows``, one
+    row after another, with the same bits on every CPU: the one weighted sum
+    of the replicates, over cells (``PigeonholeWeights.weighted_sum``) and
+    units (GMM's m_bar and J_hat). C-ordered rows are read in place. With
+    E >= 2 entries a row, ``np.einsum("ji,j->i")`` adds each column in row
+    order, as ``np.add.accumulate`` does, where ``sum`` would add pairwise
+    and BLAS in an order of its CPU's choosing; one column, which einsum
+    adds pairwise too, goes through ``np.add.accumulate``.
+    """
+    n = rows.shape[0]
+    if n == 0:
+        return np.zeros(rows.shape[1:])
+    cols = np.ascontiguousarray(rows.reshape(n, -1))
+    if weights is not None:
+        weights = np.asarray(weights, dtype=np.float64)
+    if cols.shape[1] == 1:
+        if weights is None:
+            total = np.add.accumulate(cols[:, 0])[-1:]
+        else:
+            col = cols[:, 0] * weights
+            total = np.add.accumulate(col, out=col)[-1:]
+    elif weights is None:
+        total = np.einsum("ji->i", cols)
+    else:
+        total = np.einsum("ji,j->i", cols, weights)
+    return total.reshape(rows.shape[1:])
 
 
 def cell_sums(sample: ClusteredSample) -> CellSums:

@@ -149,7 +149,11 @@ def ratio_estimate(sample: ClusteredSample) -> Fitted:
     theta = weighted_ratio(sums, PigeonholeWeights.identity(sample.dims))
     s, n = sums.values[:, :-1], sums.values[:, -1:]
     total = float(n.sum())
-    scores = CenteredScores(sample.dims, (s - n * theta) / (total / sample.dims.pi_c))
+    # (s - n theta) / scale in one (pi_c, d) array, with the same bits
+    t = n * theta
+    np.subtract(s, t, out=t)
+    t /= total / sample.dims.pi_c
+    scores = CenteredScores(sample.dims, t)
     return Fitted("ratio", theta, scores, None, weighted_ratio, sums, {"n_units": int(total)})
 
 
@@ -367,19 +371,20 @@ def cell_columns(
     columns; with ``bootstrap``, those of its hook's replicates too. The
     sample's own cell offsets and sizes are not counted. Each count is the
     growth of the measured peak address space per cell, in 8-byte columns,
-    rounded up (see :data:`multiway.data.LATTICE_BYTES`).
+    rounded up (see :data:`multiway.data.LATTICE_BYTES`). A GMM replicate
+    keeps only its units, so GMM counts the same with or without ``bootstrap``.
     """
     if kind == "mean":  # the cell sums and the centred scores
         return 2 * obs_dim
-    if kind == "ratio":  # sums with sizes, scores, and a temporary of the scores
-        return 3 * obs_dim + 1
+    if kind == "ratio":  # sums with sizes beside their unstacked parts, later the scores
+        return 2 * obs_dim + 2
     if kind == "ols":  # scores, one column summed at a time; Gram blocks in the hook
         p = len(spec.regressor_indices) + spec.intercept
         return p * p + 2 * p + 1 if bootstrap else p + 1
     if kind == "quantile":  # the hook's cell weights
         return int(bootstrap)
-    if kind == "gmm":  # scores; the hook's cell weights and subsample offsets
-        return model.n_moments + (5 if bootstrap else 1)
+    if kind == "gmm":  # scores and one summed column; the hook keeps the units only
+        return model.n_moments + 1
     raise ConfigError(f"unknown estimator {kind!r}")
 
 

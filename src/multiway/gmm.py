@@ -17,13 +17,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cache, cached_property
-from typing import Callable
+from functools import cache, cached_property, reduce
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from .bootstrap import PigeonholeWeights
-from .data import ClusteredSample, cell_subsample, check_columns, sum_by_cell
+from .data import ClusteredSample, Dimensions, check_columns, row_sum, sum_by_cell
 from .errors import (
     ConfigError,
     ConvergenceError,
@@ -64,10 +64,10 @@ class MomentModel:
     are allowed; indicator-based moments must set it to False.
 
     The rows may come in any memory layout: m_bar and J_hat sum each
-    entry's column of unit values in unit order, with the same bits for
-    every layout. C-ordered rows, as the probit model returns, are the
-    cheap layout: ``np.einsum`` reads them in place (rows with a single
-    entry, L = 1 or L p = 1, go through ``np.add.accumulate`` instead).
+    entry's column of unit values in unit order with
+    :func:`multiway.data.row_sum`, with the same bits for every layout.
+    C-ordered rows, as the probit model returns, are the cheap layout: the
+    sum reads them in place, others are copied to C order first.
     """
 
     fn: Callable[[np.ndarray, np.ndarray], np.ndarray]
@@ -162,32 +162,6 @@ class GmmResult:
     trace: dict = field(default_factory=dict)
 
 
-def _unit_mean(rows: np.ndarray, unit_weights: np.ndarray | None, pi_c: int) -> np.ndarray:
-    """(1/pi_c) times the sum of the (weighted) per-unit rows, added in unit order.
-
-    ``rows`` is (n, ...) in any memory layout; C-ordered rows, as the
-    probit model returns, are read in place, others are copied to C order
-    first. With E >= 2 entries a row, ``np.einsum("ji,j->i")`` adds each
-    entry's column (times the unit weights, when given) one unit after
-    another, with the bits of ``np.add.accumulate``; ``sum`` would add it
-    pairwise. With one entry a row einsum adds the column pairwise too, so
-    that column goes through ``np.add.accumulate``. An empty ``rows`` sums
-    to zeros.
-    """
-    n = rows.shape[0]
-    if n == 0:
-        return np.zeros(rows.shape[1:])
-    cols = np.ascontiguousarray(rows.reshape(n, -1))
-    if cols.shape[1] == 1:
-        col = cols[:, 0] if unit_weights is None else cols[:, 0] * unit_weights
-        total = np.add.accumulate(col)[-1:]
-    elif unit_weights is None:
-        total = np.einsum("ji->i", cols)
-    else:
-        total = np.einsum("ji,j->i", cols, unit_weights)
-    return total.reshape(rows.shape[1:]) / pi_c
-
-
 def moment_bar(
     sample: ClusteredSample,
     model: MomentModel,
@@ -200,9 +174,9 @@ def moment_bar(
     moment layout, so a unit whose weight is 0 adds an exact zero: dropping
     it (as the bootstrap hook does) leaves m_bar bit for bit the same.
     """
-    if sample.n_units == 0:
+    if len(sample.values) == 0:
         raise EmptySampleError("GMM needs at least one unit")
-    return _unit_mean(model.moments(sample.values, theta), unit_weights, sample.dims.pi_c)
+    return row_sum(model.moments(sample.values, theta), unit_weights) / sample.dims.pi_c
 
 
 def cell_moment_sums(
@@ -240,7 +214,7 @@ def gmm_jhat(
     """
     theta = np.asarray(theta, dtype=np.float64)
     if model.jacobian is not None:
-        return _unit_mean(_jacobian_rows(sample, model, theta), unit_weights, sample.dims.pi_c)
+        return row_sum(_jacobian_rows(sample, model, theta), unit_weights) / sample.dims.pi_c
     if not model.smooth:
         raise ModelError(
             "model has no analytic Jacobian and finite differences are "
@@ -262,7 +236,7 @@ def gmm_jhat(
 def _jacobian_rows(sample: ClusteredSample, model: MomentModel, theta) -> np.ndarray:
     """The analytic per-unit moment derivatives (n, L, p) at theta."""
     d = np.asarray(model.jacobian(sample.values, theta), dtype=np.float64)
-    if d.shape != (sample.n_units, model.n_moments, model.n_params):
+    if d.shape != (len(sample.values), model.n_moments, model.n_params):
         raise ModelError(f"jacobian returned {d.shape}")
     return d
 
@@ -415,16 +389,25 @@ def _start_simplex(x0: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray
     return np.vstack([x0, x0 + np.diag(step)])
 
 
+class _Units(NamedTuple):
+    """The units a bootstrap replicate keeps, on the full sample's ``dims``."""
+
+    dims: Dimensions
+    values: np.ndarray
+
+
 def _minimize(sample, model, xi, config, unit_weights=None, starts=None, warm=None):
     """Minimize the weighted moment norm; returns (theta, value, evaluations).
 
+    Of ``sample`` only ``dims`` and ``values`` are read, so a replicate's
+    kept units (:class:`_Units`) serve as well as a :class:`ClusteredSample`.
     ``warm``, from ``_warm_rows`` on ``sample``, holds the per-unit moment
     and Jacobian rows at the first start clipped to the box, where
     Gauss-Newton takes its first residual and its first Jacobian: those two
     weight and sum the rows instead of calling the model, with the same
     bits. Later evaluations, and every one of the other starts, call it.
     """
-    if sample.n_units == 0:
+    if len(sample.values) == 0:
         raise EmptySampleError("GMM needs at least one unit")
     budget = _Budget(config.max_evals)
     if model.smooth:
@@ -436,14 +419,14 @@ def _minimize(sample, model, xi, config, unit_weights=None, starts=None, warm=No
             rows, m_rows = m_rows, None
             if rows is None:
                 rows = model.moments(values, theta)
-            return root @ _unit_mean(rows, unit_weights, pi_c)
+            return root @ (row_sum(rows, unit_weights) / pi_c)
 
         def jac_residual(theta):
             nonlocal d_rows
             if d_rows is None:
                 return root @ gmm_jhat(sample, model, theta, unit_weights)
             rows, d_rows = d_rows, None
-            return root @ _unit_mean(rows, unit_weights, pi_c)
+            return root @ (row_sum(rows, unit_weights) / pi_c)
 
         best = (None, np.inf, False)
         for start in starts or _starts(model, config):
@@ -557,26 +540,28 @@ def gmm_bootstrap_estimator(
 ) -> Callable[[ClusteredSample, PigeonholeWeights], np.ndarray]:
     """Weighted re-estimation hook for :func:`multiway.bootstrap.run_bootstrap`.
 
-    Every per-cell moment sum is multiplied by the cell weight W_j
-    (equivalent to replicating cells). Every replicate starts from
-    ``warm_start`` alone (typically the full-sample estimate), not from the
-    multistart of ``config``.
+    Every unit's moments are multiplied by its cell's weight W_j, the
+    product of its clusters' draw counts (equivalent to replicating cells).
+    Every replicate starts from ``warm_start`` alone (typically the
+    full-sample estimate), not from the multistart of ``config``.
 
-    Each replicate re-optimizes on the units of the cells with W_j != 0
-    only (about 60% of the cells of a 2-way design draw W_j = 0), keeping
-    ``dims`` so that m_bar still divides by pi_c. The units dropped would
+    Each replicate re-optimizes on the units with W_j != 0 only (about 60%
+    of the cells of a 2-way design draw W_j = 0): their values and the full
+    sample's ``dims``, so that m_bar still divides by pi_c, are all it
+    passes on, and nothing of length pi_c is built. The units dropped would
     add exact zeros ``0 * m`` to the weighted sums, which ``moment_bar``
     and ``gmm_jhat`` add in unit order, so both keep their full-sample
     bits for every moment layout and theta is the same bit for bit. A draw
     that keeps no unit raises EmptySampleError, a failed replicate.
 
-    For a smooth model, the per-unit moment and Jacobian rows at the warm
-    start are computed once, on the first sample the hook sees, and kept
-    while it sees the same sample object; each replicate takes the index
-    of its kept units once, gathers its values, unit weights and warm
-    rows (C-ordered, along the unit axis) with it, and weights and sums
-    those rows for its first residual and Jacobian instead of calling the
-    model.
+    The units' cluster coordinates and, for a smooth model, their moment
+    and Jacobian rows at the warm start are computed once, on the first
+    sample the hook sees, and kept while it sees the same sample object.
+    Each replicate multiplies its counts at those coordinates into unit
+    weights, takes the index of its kept units once, gathers their values,
+    weights and warm rows (C-ordered, along the unit axis) with it, and
+    weights and sums those rows for its first residual and Jacobian
+    instead of calling the model.
 
     Cost: from the warm start a probit replicate takes about three moment
     evaluations and two Jacobians (30x30: 2.9 and 2.0 per replicate),
@@ -594,26 +579,23 @@ def gmm_bootstrap_estimator(
     starts = [np.asarray(warm_start, dtype=np.float64)]
     # Gauss-Newton's first point, where a smooth model's warm-start rows are taken
     anchor = np.clip(starts[0], model.bounds[:, 0], model.bounds[:, 1]) if model.smooth else None
-    full = None  # (sample, its _warm_rows at anchor), replaced whole
+    full = None  # (sample, unit coordinates, _warm_rows at anchor or None), replaced whole
 
     def estimator(sample: ClusteredSample, weights: PigeonholeWeights) -> np.ndarray:
         nonlocal full
-        w = weights.cell_weights()
-        ids = sample.unit_cell_ids
-        warm = None
-        if anchor is not None:
-            hit = full
-            if hit is None or hit[0] is not sample:
-                hit = full = (sample, _warm_rows(sample, model, anchor))
-            warm = hit[1]
-        cells = w != 0
-        kept = cells[ids].nonzero()[0]
-        uw = w[ids[kept]].astype(np.float64)
+        hit = full
+        if hit is None or hit[0] is not sample:
+            coords = np.unravel_index(sample.unit_cell_ids, sample.dims.counts)
+            warm = None if anchor is None else _warm_rows(sample, model, anchor)
+            hit = full = (sample, coords, warm)
+        _, coords, warm = hit
+        uw = reduce(np.multiply, [w[c] for w, c in zip(weights.per_dim_counts, coords)])
+        kept = uw.nonzero()[0]
         if warm is not None:
             warm = tuple(None if r is None else r.take(kept, axis=0) for r in warm)
-        theta, _, _ = _minimize(
-            cell_subsample(sample, cells, kept), model, xi, config, uw, starts, warm
-        )
+        units = _Units(sample.dims, sample.values.take(kept, axis=0))
+        uw = uw.take(kept).astype(np.float64)
+        theta, _, _ = _minimize(units, model, xi, config, uw, starts, warm)
         return theta
 
     return estimator
@@ -697,8 +679,8 @@ def probit_score_moments(
     the moment norm is the probit pseudo-MLE, which ignores within- and
     cross-cell correlation (the multiway sandwich puts it back). The
     moments (n, 2) and the Jacobian (n, 2, 2) are fresh C-ordered arrays,
-    which ``_unit_mean`` sums in place and the bootstrap hook gathers
-    along the unit axis.
+    which :func:`multiway.data.row_sum` sums in place and the bootstrap
+    hook gathers along the unit axis.
 
     Two one-tuple caches, each keyed on the ``values`` array itself, read
     once and replaced whole, so threads sharing the model never see a torn

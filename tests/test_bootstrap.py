@@ -9,6 +9,8 @@ from multiway import (
     ConvergenceError,
     Dimensions,
     InsufficientReplicatesError,
+    PigeonholeWeights,
+    ShapeError,
     draw_weights,
     percentile_ci,
     run_bootstrap,
@@ -34,6 +36,18 @@ def test_single_cluster_dimension_never_varies():
     for _ in range(50):
         w = draw_weights(dims, rng)
         assert w.per_dim_counts[0].tolist() == [1]
+
+
+@pytest.mark.parametrize(
+    "counts",
+    [[2, -1, 2], [1.5, 0.5, 1.0], [3.0, np.nan, 0.0]],
+    ids=["negative", "fractional", "nan"],
+)
+def test_weights_refuse_counts_that_are_not_whole_draws(counts):
+    # each vector sums to C_i = 3 (nan aside), so only the new check refuses it
+    dims = Dimensions((2, 3))
+    with pytest.raises(ShapeError, match="dimension 1"):
+        PigeonholeWeights(dims, (np.array([1, 1]), np.array(counts)))
 
 
 def test_weight_moments_small_monte_carlo():

@@ -5,13 +5,15 @@ replicate's unit weights, zero-weight units included: theta must agree bit
 for bit.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 import multiway.gmm as gmm
-from multiway import ClusteredSample, Dimensions, PigeonholeWeights
+from multiway import Dimensions, PigeonholeWeights
 from multiway.bootstrap import draw_weights, run_bootstrap
-from multiway.data import cell_subsample, sample_from_cell_ids
+from multiway.data import sample_from_cell_ids
 from multiway.errors import EmptySampleError
 from multiway.gmm import (
     MomentModel,
@@ -110,7 +112,6 @@ def test_replicate_minimizes_over_nonzero_weight_units(minimized_samples):
     hook(sample, weights)
     (sub,) = minimized_samples
     assert sub.dims == sample.dims
-    np.testing.assert_array_equal(sub.cell_sizes, np.where(w != 0, sample.cell_sizes, 0))
     np.testing.assert_array_equal(sub.values, sample.values[w[sample.unit_cell_ids] != 0])
 
 
@@ -136,8 +137,9 @@ def test_moment_sums_bit_identical_on_subset(name):
     for b in range(N_DRAWS):
         w = draw_weights(sample.dims, stream_rng(13, b)).cell_weights()
         uw = w[sample.unit_cell_ids].astype(np.float64)
-        sub = cell_subsample(sample, w != 0)
-        kept = uw[uw != 0]
+        keep = uw != 0
+        sub = sample_from_cell_ids(sample.dims, sample.unit_cell_ids[keep], sample.values[keep])
+        kept = uw[keep]
         assert (
             moment_bar(sub, model, theta, kept).tobytes()
             == moment_bar(sample, model, theta, uw).tobytes()
@@ -230,13 +232,30 @@ def test_run_bootstrap_counts_an_empty_draw_as_failed(model, config):
     assert reps.n_failed == empty
 
 
-def test_cell_subsample_keeps_dims_and_order():
-    dims = Dimensions((2, 3))
-    values = np.arange(12.0).reshape(6, 2)
-    sample = ClusteredSample(dims, values, np.array([0, 2, 2, 3, 5, 5, 6]))
-    sub = cell_subsample(sample, np.array([True, True, False, True, False, True]))
-    assert sub.dims == dims
-    np.testing.assert_array_equal(sub.offsets, [0, 2, 2, 2, 4, 4, 5])
-    np.testing.assert_array_equal(sub.values, values[[0, 1, 3, 4, 5]])
-    empty = cell_subsample(sample, np.zeros(6, dtype=bool))
-    assert empty.n_units == 0 and empty.offsets.shape == (7,)
+def test_replicate_on_a_large_lattice_allocates_by_its_units(monkeypatch):
+    """On 2048x2048 (4.2 million cells) a replicate of 40 units builds no
+    array of length pi_c: no cell weight vector, mask or cell offsets."""
+    rng = np.random.default_rng(12)
+    dims = Dimensions((2048, 2048))
+    x = rng.normal(size=40)
+    y = (0.3 + 0.8 * x + rng.normal(size=40) > 0).astype(np.float64)
+    ids = rng.choice(dims.pi_c, size=40, replace=False)
+    sample = sample_from_cell_ids(dims, ids, np.column_stack([y, x]))
+    model = probit_score_moments(0, 1)
+    hook = gmm_bootstrap_estimator(model, warm_start=gmm_fit(sample, model).theta)
+    # the first call takes the unit coordinates and the warm-start rows
+    hook(sample, PigeonholeWeights.identity(dims))
+    weights = draw_weights(dims, stream_rng(3, 0))
+
+    def refuse(self):
+        raise AssertionError("cell_weights() called")
+
+    monkeypatch.setattr(PigeonholeWeights, "cell_weights", refuse)
+    tracemalloc.start()
+    try:
+        theta = hook(sample, weights)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert np.isfinite(theta).all()
+    assert peak < 2**20

@@ -20,7 +20,7 @@ import multiway.gmm as gmm
 from multiway import Dimensions
 from multiway.bootstrap import draw_weights, run_bootstrap
 from multiway.cli import main
-from multiway.data import cell_subsample, sample_from_cell_ids
+from multiway.data import sample_from_cell_ids
 from multiway.dataio import write_dataset_csv
 from multiway.errors import ConvergenceError, ModelError, ShapeError
 from multiway.gmm import (
@@ -169,7 +169,8 @@ def test_probit_replicates_match_reference_over_draws(reference):
         w = draw_weights(sample.dims, stream_rng(7, b))
         assert new_hook(sample, w).tobytes() == reference(ref_hook, sample, w).tobytes()
         cells = w.cell_weights()
-        sub = cell_subsample(sample, cells != 0)
+        keep = cells[sample.unit_cell_ids] != 0
+        sub = sample_from_cell_ids(sample.dims, sample.unit_cell_ids[keep], sample.values[keep])
         uw = cells[sub.unit_cell_ids].astype(np.float64)
         new = gmm._minimize(sub, new_model, xi, config, uw, [theta_hat])
         ref = reference(gmm._minimize, sub, ref_model, xi, config, uw, [theta_hat])

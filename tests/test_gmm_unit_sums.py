@@ -1,9 +1,10 @@
 """Per-unit sums and the probit rows keep their bits.
 
-``_unit_mean`` adds each entry's column of unit values in unit order,
-whatever the memory layout of the rows, so every sum must equal a plain
-left-to-right Python sum; the shapes include rows longer than numpy's
-8,192-element iterator buffer. The probit model returns C-ordered moments
+``multiway.data.row_sum``, which m_bar and J_hat divide by pi_c, adds
+each entry's column of unit values in unit order, whatever the memory
+layout of the rows, so every mean must equal a plain left-to-right Python
+sum over pi_c; the shapes include rows longer than numpy's 8,192-element
+iterator buffer. The probit model returns C-ordered moments
 and Jacobians; byte for byte they must equal the stacked formulas
 lam[:, None] * (1, x) and g[:, None, None] * [[1, x], [x, x^2]] built on
 the log-domain link, all kept below as they read before the unit-major
@@ -16,7 +17,7 @@ import numpy as np
 import pytest
 from scipy import special
 
-import multiway.gmm as gmm
+from multiway.data import row_sum
 from multiway.gmm import probit_score_moments
 
 PI_C = 7
@@ -65,7 +66,7 @@ def test_unit_mean_is_a_left_to_right_sum(shape, weighted):
     weights = rng.integers(0, 4, size=shape[0]).astype(np.float64) if weighted else None
     expected = _left_to_right(base, weights, PI_C)
     for layout, rows in _layouts(base).items():
-        got = gmm._unit_mean(rows, weights, PI_C)
+        got = row_sum(rows, weights) / PI_C
         assert got.shape == shape[1:], layout
         assert got.tobytes() == expected.tobytes(), layout
 

@@ -179,7 +179,8 @@ def _wide_csv(path, n, n_columns, n_units=12, seed=0):
         (12, ["bootstrap", "--estimator", "ols", "--regressors",
               ",".join(map(str, range(1, 12))), "--b", 40, "--seed", 1], 169),
         (96, ["estimate", "--estimator", "mean"], 192),
-        (96, ["bootstrap", "--estimator", "ratio", "--b", 40, "--seed", 1], 289),
+        # sums with sizes (97 columns) beside their unstacked parts (97)
+        (96, ["bootstrap", "--estimator", "ratio", "--b", 40, "--seed", 1], 194),
     ],
     ids=["ols-bootstrap", "mean-estimate", "ratio-bootstrap"],
 )

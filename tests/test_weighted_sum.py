@@ -1,5 +1,8 @@
 """PigeonholeWeights.weighted_sum, the one weighted cell sum of the mean,
-ratio and OLS bootstraps, and those hooks against the materialised resample."""
+ratio and OLS bootstraps, and those hooks against the materialised resample.
+
+One-column values are among the trailing shapes: there the last contraction
+sums a single column, which ``np.einsum`` would add pairwise."""
 
 import numpy as np
 import pytest
@@ -20,7 +23,7 @@ from resample import materialise
 
 # k = 1, 2 and 3, with single-cluster dimensions among them
 LATTICES = [(7,), (5, 4), (3, 4, 2), (1, 6), (4, 1, 3)]
-TRAILING = [(3,), (2, 2)]
+TRAILING = [(1,), (3,), (2, 2)]
 
 
 def weight_sets(dims):
