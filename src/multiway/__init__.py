@@ -40,7 +40,6 @@ from .errors import (
 )
 from .estimators import (
     EcdfSpec,
-    Fitted,
     LinearModelSpec,
     fit,
     mean_estimate,
@@ -51,6 +50,7 @@ from .estimators import (
 )
 from .variance import (
     CenteredScores,
+    Fitted,
     VarianceEstimate,
     WaldRegion,
     estimate_variance,

@@ -343,8 +343,7 @@ def cmd_estimate(args) -> int:
         variances[vkind] = est
         regions[vkind] = wald_region(fitted.theta, est, sample.dims, args.alpha)
 
-    diagnostics = dict(fitted.meta)
-    diagnostics["n_units"] = sample.n_units
+    diagnostics = {k: v for k, v in fitted.meta.items() if isinstance(v, (int, float))}
     if (
         sample.dims.k == 2
         and args.adjustment == "unit"

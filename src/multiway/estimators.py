@@ -1,22 +1,22 @@
 """Concrete estimators: mean, ratio mean, OLS and quantiles.
 
 The mean and ratio estimators average the per-cell sums of the
-observation vectors. Each estimator returns a
-:class:`Fitted`: its point estimate, the per-cell score vectors that the
-variance estimators consume, and its weighted companion (suffix
+observation vectors. Each estimator returns a :class:`Fitted` (defined in
+:mod:`multiway.variance`): its point estimate, the per-cell score vectors
+that the variance estimators consume, and its weighted companion (suffix
 ``weighted_``) as the bootstrap hook, together with the per-cell data the
 hook re-estimates from. The mean, ratio and OLS hooks sum W_j times their
 per-cell sums with :meth:`PigeonholeWeights.weighted_sum`; the mean and
 ratio estimates are their hooks at identity weights, exactly, and the OLS
 hook reproduces its unit-level fit up to rounding. :func:`fit` is the one
-dispatch over all estimators, GMM included, and refuses non-finite data.
+dispatch over all estimators, GMM's :func:`multiway.gmm.gmm_fit`
+included, and refuses non-finite data.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property, partial
-from typing import Callable
 
 import numpy as np
 
@@ -29,22 +29,9 @@ from .data import (
     check_columns,
     sum_by_cell,
 )
-from .errors import (
-    ConfigError,
-    EmptySampleError,
-    SingularDesignError,
-    UnsupportedError,
-)
-from .gmm import (
-    MomentModel,
-    OptimizerConfig,
-    WeightMatrix,
-    cell_moment_sums,
-    gmm_bootstrap_estimator,
-    gmm_fit,
-    gmm_variance,
-)
-from .variance import CenteredScores, VarianceEstimate, check_condition, estimate_variance
+from .errors import ConfigError, EmptySampleError, SingularDesignError
+from .gmm import MomentModel, OptimizerConfig, WeightMatrix, gmm_fit, gmm_variance
+from .variance import CenteredScores, Fitted, VarianceEstimate, check_condition
 
 __all__ = [
     "EcdfSpec",
@@ -66,44 +53,6 @@ __all__ = [
     "weighted_quantile",
     "weighted_ratio",
 ]
-
-@dataclass(frozen=True)
-class Fitted:
-    """One estimator fitted to one sample, as every estimator returns it.
-
-    ``scores`` feed the variance estimators (None: no analytic variance).
-    ``bread`` maps a meat matrix to the sandwich (None: the meat is the
-    variance). ``hook(prepared, weights)`` re-estimates theta under
-    pigeonhole weights for :func:`multiway.bootstrap.run_bootstrap`.
-    """
-
-    kind: str
-    theta: np.ndarray
-    scores: CenteredScores | None
-    bread: Callable[[np.ndarray], np.ndarray] | None
-    hook: Callable
-    prepared: object
-    meta: dict
-
-    @property
-    def has_variance(self) -> bool:
-        """Whether :meth:`variance` has what it needs: False for quantiles,
-        which have no scores, and for a nonsmooth GMM fit, whose bread has
-        no Jacobian."""
-        return self.scores is not None and self.bread is not _no_jacobian
-
-    def variance(self, kind: str, adjustment: str = "unit") -> VarianceEstimate:
-        """Variance of theta: the :func:`estimate_variance` meat of the
-        scores first, then the bread."""
-        if self.scores is None:
-            raise UnsupportedError(
-                "variance: quantiles have no analytic variance; use the bootstrap"
-            )
-        meat = estimate_variance(self.scores, kind, adjustment)
-        if self.bread is None:
-            return meat
-        return replace(meat, matrix=self.bread(meat.matrix))
-
 
 # ---------------------------------------------------------------------
 # Cell-sum mean: theta = (1/pi_c) sum_j S_j
@@ -216,7 +165,8 @@ def ols_fit(sample: ClusteredSample, spec: LinearModelSpec) -> Fitted:
     """Pooled least squares over all units.
 
     The scores are the per-cell sums of X u-hat (uncentered; they sum to
-    zero by the normal equations), the sandwich meat. ``meta['jhat']`` holds
+    zero by the normal equations), the sandwich meat. ``meta`` holds
+    ``n_units``, ``residual_norm`` and ``gram_condition``, then ``jhat``,
     J = (1/pi_c) sum X X', whose bread is :func:`gmm_variance` with Xi = I.
     """
     X, y = spec.design(sample.values)
@@ -235,10 +185,10 @@ def ols_fit(sample: ClusteredSample, spec: LinearModelSpec) -> Fitted:
         weighted_ols,
         OlsCellData(sample, X, y),
         {
-            "jhat": jhat,
+            "n_units": sample.n_units,
             "residual_norm": float(np.linalg.norm(resid)),
             "gram_condition": float(evals[-1] / evals[0]),
-            "n_units": sample.n_units,
+            "jhat": jhat,
         },
     )
 
@@ -388,10 +338,6 @@ def cell_columns(
     raise ConfigError(f"unknown estimator {kind!r}")
 
 
-def _no_jacobian(meat: np.ndarray) -> np.ndarray:
-    raise UnsupportedError("variance: nonsmooth model has no Jacobian; use the bootstrap")
-
-
 def fit(
     kind: str,
     sample: ClusteredSample,
@@ -402,13 +348,14 @@ def fit(
     config: OptimizerConfig | None = None,
     two_step: bool = False,
 ) -> Fitted:
-    """Fit estimator ``kind`` ("mean", "ratio", "ols", "quantile" or "gmm").
+    """Fit estimator ``kind`` ("mean", "ratio", "ols", "quantile" or "gmm")
+    with its direct estimator, after refusing a sample that holds a NaN or
+    inf value with :class:`SingularDesignError`.
 
     ``spec`` is the :class:`LinearModelSpec` for "ols" and the
-    :class:`EcdfSpec` (with level ``tau``) for "quantile". "gmm" fits
-    ``model`` with the optimizer ``config`` and ``two_step`` of
-    :func:`multiway.gmm.gmm_fit`. A sample holding a NaN or inf value is
-    a :class:`SingularDesignError`.
+    :class:`EcdfSpec` (with level ``tau``) for "quantile". "gmm" is
+    :func:`multiway.gmm.gmm_fit` of ``model`` with the optimizer ``config``
+    and ``two_step``. The result is the direct estimator's, field by field.
     """
     _check_finite(sample)
     if kind == "mean":
@@ -416,24 +363,9 @@ def fit(
     if kind == "ratio":
         return ratio_estimate(sample)
     if kind == "ols":
-        res = ols_fit(sample, spec)
-        # meta goes into the estimate diagnostics JSON: no jhat, and this key order
-        keys = ("n_units", "residual_norm", "gram_condition")
-        return replace(res, meta={key: res.meta[key] for key in keys})
+        return ols_fit(sample, spec)
     if kind == "quantile":
         return quantile_estimate(sample, spec, tau)
     if kind == "gmm":
-        res = gmm_fit(sample, model, config=config, two_step=two_step)
-        scores = cell_moment_sums(sample, model, res.theta)
-        bread = (
-            _no_jacobian if res.jhat is None else partial(gmm_variance, res.jhat, xi=res.weight)
-        )
-        hook = gmm_bootstrap_estimator(
-            model, xi=res.weight, config=config, warm_start=res.theta
-        )
-        meta = {
-            "objective_value": res.objective_value,
-            "n_evaluations": res.trace["n_evaluations"],
-        }
-        return Fitted(kind, res.theta, scores, bread, hook, sample, meta)
+        return gmm_fit(sample, model, config=config, two_step=two_step)
     raise ConfigError(f"unknown estimator {kind!r}")

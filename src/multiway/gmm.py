@@ -16,8 +16,8 @@ loads numpy only.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from functools import cache, cached_property, reduce
+from dataclasses import dataclass
+from functools import cache, cached_property, partial, reduce
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -34,10 +34,9 @@ from .errors import (
     SingularVarianceError,
 )
 from .seeding import check_seed, stream_rng
-from .variance import CenteredScores, check_condition, vhat1
+from .variance import CenteredScores, Fitted, check_condition, no_jacobian, vhat1
 
 __all__ = [
-    "GmmResult",
     "MomentModel",
     "OptimizerConfig",
     "WeightMatrix",
@@ -151,15 +150,6 @@ class OptimizerConfig:
                 raise ConfigError(f"optimizer.{key}: must be >= 1, got {getattr(self, key)}")
         if not (math.isfinite(self.tol) and self.tol >= 0):
             raise ConfigError(f"optimizer.tol: must be finite and >= 0, got {self.tol}")
-
-
-@dataclass(frozen=True)
-class GmmResult:
-    theta: np.ndarray
-    objective_value: float
-    jhat: np.ndarray | None
-    weight: WeightMatrix
-    trace: dict = field(default_factory=dict)
 
 
 def moment_bar(
@@ -439,13 +429,15 @@ def _minimize(sample, model, xi, config, unit_weights=None, starts=None, warm=No
             if budget.used >= budget.limit:
                 break
         theta, val, ok = best
+        made = min(budget.used, budget.limit)  # the refused last spend made no evaluation
         if theta is None or not ok:
             raise ConvergenceError(
-                f"Gauss-Newton exhausted {budget.used} evaluations",
+                f"Gauss-Newton did not converge in {made} of max_evals={budget.limit} "
+                "evaluations",
                 best_theta=theta,
                 best_value=val,
             )
-        return theta, val, budget.used
+        return theta, val, made
 
     def value(theta):
         return gmm_objective(sample, model, xi, theta, unit_weights)
@@ -493,7 +485,7 @@ def gmm_fit(
     xi: WeightMatrix | None = None,
     config: OptimizerConfig | None = None,
     two_step: bool = False,
-) -> GmmResult:
+) -> Fitted:
     """Minimize the weighted moment norm over the parameter box.
 
     Smooth models run multistart Gauss-Newton on Xi^(1/2) m_bar; nonsmooth
@@ -502,9 +494,14 @@ def gmm_fit(
     Xi = (H(theta_1) + ridge I)^-1 from a first identity-weighted pass.
     An unidentified smooth model raises SingularDesignError: Xi^(1/2) J at
     theta-hat must be finite with squared singular values (J' Xi J's
-    eigenvalues, unformed) that pass ``check_condition``. The sandwich is
-    ``Fitted.variance``; nonsmooth models carry ``jhat=None`` and go
-    through the pigeonhole bootstrap.
+    eigenvalues, unformed) that pass ``check_condition``.
+
+    The :class:`Fitted` scores are the per-cell moment sums at theta-hat,
+    its bread :func:`gmm_variance` of J and the final Xi (a refusal for a
+    nonsmooth model, which has no J: use the bootstrap), its hook
+    :func:`gmm_bootstrap_estimator` warm-started at theta-hat. ``meta``
+    holds ``objective_value``, ``n_evaluations``, ``n_units``, ``jhat`` (J
+    or None) and ``weight`` (the final Xi).
     """
     xi = xi or WeightMatrix.identity(model.n_moments)
     config = config or OptimizerConfig()
@@ -519,7 +516,7 @@ def gmm_fit(
         theta, val, evals2 = _minimize(sample, model, xi, config)
         evals += evals2
 
-    jhat = None
+    jhat, bread = None, no_jacobian
     if model.jacobian is not None or model.smooth:
         jhat = gmm_jhat(sample, model, theta)
         root_j = xi.root @ jhat
@@ -527,8 +524,12 @@ def gmm_fit(
             raise SingularDesignError(f"J is not finite at theta={theta}")
         s = np.linalg.svd(root_j, compute_uv=False)
         check_condition(s[::-1] ** 2, SingularDesignError, "J' Xi J is singular")
-    trace = {"n_evaluations": evals, "two_step": two_step}
-    return GmmResult(theta=theta, objective_value=val, jhat=jhat, weight=xi, trace=trace)
+        bread = partial(gmm_variance, jhat, xi=xi)
+    scores = cell_moment_sums(sample, model, theta)
+    hook = gmm_bootstrap_estimator(model, xi=xi, config=config, warm_start=theta)
+    meta = {"objective_value": val, "n_evaluations": evals, "n_units": sample.n_units,
+            "jhat": jhat, "weight": xi}
+    return Fitted("gmm", theta, scores, bread, hook, sample, meta)
 
 
 def gmm_bootstrap_estimator(

@@ -402,7 +402,14 @@ class McReport:
     config: dict
 
     def to_json_dict(self) -> dict:
-        return {"schema_version": SCHEMA_VERSION, **asdict(self)}
+        """The JSON report, with null for the NaN statistics of a method
+        used in no replication: strict JSON has no NaN."""
+        out = {"schema_version": SCHEMA_VERSION, **asdict(self)}
+        for method in out["methods"]:
+            for name in _CSV_FORMATS:
+                if math.isnan(method[name]):
+                    method[name] = None
+        return out
 
     def csv_rows(self) -> list[list]:
         header = [f.name for f in fields(MethodReport)]

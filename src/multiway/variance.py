@@ -10,6 +10,9 @@ enumerated: P_T = M_T'M_T for the joint margin sums M_T, which costs
 O(pi_c * m) per dimension subset, and each P_T is computed once per score
 set, on first request, and shared by every estimator that reads it.
 
+:class:`Fitted`, the one result type of every estimator, applies them:
+its variance is the estimator of its scores, then its bread.
+
 ``wald_region`` takes its normal and chi-square quantiles from
 :func:`multiway.tails.wald_quantiles`, which solves for them in
 :mod:`decimal` and rounds them to float once, so they are correctly
@@ -21,17 +24,18 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import Callable, Sequence
 
 import numpy as np
 
 from .data import CellSums, Dimensions, pair_counts, subset_margin_sum
-from .errors import ConfigError, DegenerateDesignError, SingularVarianceError
+from .errors import ConfigError, DegenerateDesignError, SingularVarianceError, UnsupportedError
 
 __all__ = [
     "CenteredScores",
+    "Fitted",
     "VarianceEstimate",
     "WaldRegion",
     "check_alpha",
@@ -103,10 +107,6 @@ class VarianceEstimate:
     kind: str
     lambda_hats: np.ndarray
     adjustments: dict
-
-    @property
-    def out_dim(self) -> int:
-        return self.matrix.shape[0]
 
     def to_json_dict(self) -> dict:
         return {
@@ -232,6 +232,52 @@ def estimate_variance(
     if kind == "cgm":
         return vhat_cgm(scores, adjustment=adjustment)
     raise ConfigError(f"unknown variance kind {kind!r}")
+
+
+def no_jacobian(meat: np.ndarray) -> np.ndarray:
+    """The bread of a nonsmooth GMM fit, which has no Jacobian: a refusal."""
+    raise UnsupportedError("variance: nonsmooth model has no Jacobian; use the bootstrap")
+
+
+@dataclass(frozen=True)
+class Fitted:
+    """One estimator fitted to one sample, as every estimator returns it.
+
+    ``scores`` feed the variance estimators (None: no analytic variance).
+    ``bread`` maps a meat matrix to the sandwich (None: the meat is the
+    variance). ``hook(prepared, weights)`` re-estimates theta under
+    pigeonhole weights for :func:`multiway.bootstrap.run_bootstrap`.
+    ``meta`` holds the fit's facts (the unit count, optimizer and condition
+    diagnostics, the Jacobian of OLS and GMM); ``estimate`` writes its
+    number entries, in order, as the diagnostics of its JSON output.
+    """
+
+    kind: str
+    theta: np.ndarray
+    scores: CenteredScores | None
+    bread: Callable[[np.ndarray], np.ndarray] | None
+    hook: Callable
+    prepared: object
+    meta: dict
+
+    @property
+    def has_variance(self) -> bool:
+        """Whether :meth:`variance` has what it needs: False for quantiles,
+        which have no scores, and for a nonsmooth GMM fit, whose bread has
+        no Jacobian."""
+        return self.scores is not None and self.bread is not no_jacobian
+
+    def variance(self, kind: str, adjustment: str = "unit") -> VarianceEstimate:
+        """Variance of theta: the :func:`estimate_variance` meat of the
+        scores first, then the bread."""
+        if self.scores is None:
+            raise UnsupportedError(
+                "variance: quantiles have no analytic variance; use the bootstrap"
+            )
+        meat = estimate_variance(self.scores, kind, adjustment)
+        if self.bread is None:
+            return meat
+        return replace(meat, matrix=self.bread(meat.matrix))
 
 
 def sigma_subset(scores: CenteredScores, axes: Sequence[int]) -> np.ndarray:

@@ -30,11 +30,12 @@ from multiway import (
 )
 from multiway.cli import main
 from multiway.estimators import fit
-from multiway.gmm import probit_score_moments, quantile_iv_moments
+from multiway.gmm import gmm_fit, probit_score_moments, quantile_iv_moments
 from multiway.simulation import CellSizeLaw, DgpSpec, McConfig, generate
 
 OLS_SPEC = LinearModelSpec(0, (1,))
 QUANTILE_SPEC = EcdfSpec(1)
+PROBIT = probit_score_moments(0, 1)
 
 # estimator -> (fit options, the direct estimator call)
 DIRECT = {
@@ -45,6 +46,7 @@ DIRECT = {
         {"spec": QUANTILE_SPEC, "tau": 0.3},
         lambda s: quantile_estimate(s, QUANTILE_SPEC, 0.3),
     ),
+    "gmm": ({"model": PROBIT}, lambda s: gmm_fit(s, PROBIT)),
 }
 
 
@@ -79,15 +81,26 @@ def test_direct_estimator_returns_fitted_whose_hook_reproduces_theta(kind, sampl
 def test_fit_equals_direct_estimator_field_by_field(kind, sample):
     options, direct = DIRECT[kind]
     got, want = fit(kind, sample, **options), direct(sample)
+    assert got.kind == want.kind
     np.testing.assert_array_equal(got.theta, want.theta)
     if want.scores is None:
         assert got.scores is None
     else:
         assert_same_arrays(got.scores, want.scores)
     assert_same_arrays(got.prepared, want.prepared)
-    assert got.hook is want.hook
-    want_meta = {key: v for key, v in want.meta.items() if key != "jhat"}
-    assert got.meta == want_meta
+    if kind == "gmm":  # each fit warm-starts a hook closure of its own
+        identity = PigeonholeWeights.identity(sample.dims)
+        assert got.hook(got.prepared, identity).tobytes() == want.hook(
+            want.prepared, identity
+        ).tobytes()
+    else:
+        assert got.hook is want.hook
+    assert list(got.meta) == list(want.meta)
+    for key, value in want.meta.items():
+        assert_same_arrays(got.meta[key], value)
+    assert got.has_variance is want.has_variance
+    if want.has_variance:
+        assert got.variance("v1").matrix.tobytes() == want.variance("v1").matrix.tobytes()
 
 
 @pytest.mark.parametrize("kind", list(DIRECT))
@@ -105,8 +118,7 @@ def test_has_variance_is_false_for_a_nonsmooth_gmm_fit(sample):
 
 def test_fit_ols_meta_keeps_the_diagnostics_key_order(sample):
     meta = fit("ols", sample, spec=OLS_SPEC).meta
-    assert list(meta) == ["n_units", "residual_norm", "gram_condition"]
-    assert "jhat" in ols_fit(sample, OLS_SPEC).meta
+    assert list(meta) == ["n_units", "residual_norm", "gram_condition", "jhat"]
 
 
 @pytest.mark.parametrize("vkind", ["v1", "v2", "cgm"])

@@ -118,8 +118,8 @@ def test_objective_scale_invariant_argmin():
     f1 = gmm_fit(sample, model, WeightMatrix(np.array([[1.0]])))
     f2 = gmm_fit(sample, model, WeightMatrix(np.array([[7.0]])))
     assert f1.theta[0] == pytest.approx(f2.theta[0], abs=1e-8)
-    assert f2.objective_value == pytest.approx(
-        math.sqrt(7) * f1.objective_value, rel=1e-6, abs=1e-12
+    assert f2.meta["objective_value"] == pytest.approx(
+        math.sqrt(7) * f1.meta["objective_value"], rel=1e-6, abs=1e-12
     )
 
 
@@ -164,7 +164,7 @@ def test_fit_optimizer_audit_grid():
     res = gmm_fit(sample, model, xi)
     grid = np.linspace(-10, 10, 100)
     vals = [gmm_objective(sample, model, xi, [t]) for t in grid]
-    assert res.objective_value <= min(vals) + 1e-9
+    assert res.meta["objective_value"] <= min(vals) + 1e-9
 
 
 def test_fit_two_step_runs():
@@ -176,9 +176,9 @@ def test_fit_two_step_runs():
     sample = sample_from_values(np.column_stack([y, x, z1, z2]), (5, 2))
     model = linear_iv_moment(0, [1], [2, 3], [(-5, 5)])
     res = gmm_fit(sample, model, two_step=True)
-    assert res.trace["two_step"]
+    assert not np.array_equal(res.meta["weight"].xi, np.eye(2))
     assert abs(res.theta[0] + 0.7) < 0.5
-    v = gmm_variance(res.jhat, gmm_hhat(sample, model, res.theta), res.weight)
+    v = gmm_variance(res.meta["jhat"], gmm_hhat(sample, model, res.theta), res.meta["weight"])
     assert v.shape == (1, 1)
 
 

@@ -191,16 +191,21 @@ def test_gmm_fit_multistart_matches_reference(reference, two_step):
     new = gmm_fit(sample, new_model, config=config, two_step=two_step)
     ref = reference(gmm_fit, sample, ref_model, config=config, two_step=two_step)
     assert new.theta.tobytes() == ref.theta.tobytes()
-    assert np.float64(new.objective_value).tobytes() == np.float64(ref.objective_value).tobytes()
-    assert new.jhat.tobytes() == ref.jhat.tobytes()
-    assert new.weight.xi.tobytes() == ref.weight.xi.tobytes()
+    new_meta, ref_meta = new.meta, ref.meta
+    assert (
+        np.float64(new_meta["objective_value"]).tobytes()
+        == np.float64(ref_meta["objective_value"]).tobytes()
+    )
+    assert new_meta["jhat"].tobytes() == ref_meta["jhat"].tobytes()
+    assert new_meta["weight"].xi.tobytes() == ref_meta["weight"].xi.tobytes()
     # the sandwich pieces of each fit, as Fitted.variance("v1") builds them
     new_h = gmm_hhat(sample, new_model, new.theta)
     ref_h = gmm_hhat(sample, ref_model, ref.theta)
     assert new_h.tobytes() == ref_h.tobytes()
-    new_v = gmm_variance(new.jhat, new_h, new.weight)
-    assert new_v.tobytes() == gmm_variance(ref.jhat, ref_h, ref.weight).tobytes()
-    assert new.trace["n_evaluations"] < ref.trace["n_evaluations"]
+    new_v = gmm_variance(new_meta["jhat"], new_h, new_meta["weight"])
+    ref_v = gmm_variance(ref_meta["jhat"], ref_h, ref_meta["weight"])
+    assert new_v.tobytes() == ref_v.tobytes()
+    assert new_meta["n_evaluations"] < ref_meta["n_evaluations"]
 
 
 @pytest.mark.parametrize("n_moments", [2, 3])
@@ -230,13 +235,13 @@ def test_budget_spent_in_futile_search_now_converges(reference):
     search used to raise ConvergenceError; the same theta is now a success."""
     sample = _sample((12, 10), 3.0, 4)
     model = probit_score_moments(0, 2)
-    n = gmm_fit(sample, model, config=OptimizerConfig(n_starts=1)).trace["n_evaluations"]
+    n = gmm_fit(sample, model, config=OptimizerConfig(n_starts=1)).meta["n_evaluations"]
     tight = OptimizerConfig(n_starts=1, max_evals=n)
     new = gmm_fit(sample, model, config=tight)
     with pytest.raises(ConvergenceError) as exc:
         reference(gmm_fit, sample, _reference_probit(0, 2), config=tight)
     assert exc.value.best_theta.tobytes() == new.theta.tobytes()
-    assert new.trace["n_evaluations"] == n
+    assert new.meta["n_evaluations"] == n
 
 
 def test_budget_spent_in_futile_search_cli_exit_code(tmp_path, reference):

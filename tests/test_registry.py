@@ -41,7 +41,7 @@ PROBIT = probit_score_moments(0, 1)
 
 def gmm_sandwich(sample):
     res = gmm_fit(sample, PROBIT)
-    return gmm_variance(res.jhat, gmm_hhat(sample, PROBIT, res.theta), res.weight)
+    return gmm_variance(res.meta["jhat"], gmm_hhat(sample, PROBIT, res.theta), res.meta["weight"])
 
 
 # estimator -> (fit options, direct estimate of theta, direct v1 variance matrix)

@@ -60,7 +60,7 @@ def _mean_moment_jhat():
         bounds=np.array([[-10.0, 10.0]] * 2),
         jacobian=lambda v, t: np.broadcast_to(-np.eye(2), (v.shape[0], 2, 2)),
     )
-    jhat = gmm_fit(sample, model).jhat
+    jhat = gmm_fit(sample, model).meta["jhat"]
     np.testing.assert_array_equal(jhat, -3.0 * np.eye(2))
     return jhat
 
