@@ -139,6 +139,9 @@ def _replicate_weights(dims: Dimensions, seed: int, b: int):
     dimensions with C_i > 1 read one stream of halves (C_i = 1 reads none).
     The block takes the first sum(C_i) halves of every replicate; a
     replicate with a rejected draw among them is redrawn by the scalar path.
+    Per dimension one (count, C_i) array of 64-bit products is the only
+    temporary as large as the counts: its low words are read through a
+    32-bit view, and the high words become each replicate's bins in place.
     """
     n = sum(c for c in dims.counts if c > 1)
     block = max(1, min(_BLOCK, _BLOCK_DRAWS // max(n, 1)))
@@ -151,11 +154,14 @@ def _replicate_weights(dims: Dimensions, seed: int, b: int):
             if c == 1:
                 counts.append(np.ones((count, 1), dtype=np.int64))
                 continue
-            m = halves[:, start:start + c].astype(np.uint64) * np.uint64(c)
+            m = halves[:, start:start + c].astype("<u8")
             start += c
-            rejected |= ((m & np.uint64(0xFFFFFFFF)) < np.uint64(2**32 % c)).any(axis=1)
-            cells = (m >> np.uint64(32)).astype(np.int64) + c * np.arange(count)[:, None]
-            counts.append(np.bincount(cells.ravel(), minlength=count * c).reshape(count, c))
+            m *= np.uint64(c)
+            rejected |= (m.view("<u4")[:, ::2] < np.uint32(2**32 % c)).any(axis=1)
+            m >>= np.uint64(32)  # the cell drawn, then its bin among the block's
+            m += np.arange(0, count * c, c, dtype=np.uint64)[:, None]
+            bins = m.view("<i8").ravel()
+            counts.append(np.bincount(bins, minlength=count * c).reshape(count, c))
         for row in range(count):
             if rejected[row]:
                 yield draw_weights(dims, stream_rng(seed, first + row))

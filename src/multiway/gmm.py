@@ -8,16 +8,16 @@ positive multiway variance estimator, applied to the per-cell moment
 sums. Includes ready-made moment models for quantile IV and the probit
 pseudo-score.
 
-scipy is imported where it is called: ``scipy.special`` by the probit
-link and ``scipy.optimize`` by Nelder-Mead, so importing this module
-loads numpy only.
+The probit link is a numpy kernel (``_probit_lam``), so importing this
+module, and fitting or bootstrapping the probit, loads numpy only; scipy
+is imported where it is called, by Nelder-Mead (``scipy.optimize``).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cache, cached_property, partial, reduce
+from functools import cached_property, partial, reduce
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -335,19 +335,24 @@ _GRID_ROUNDS = 8
 
 
 def _grid_refine(value, bounds, budget):
-    """Bracketing grid search for scalar, possibly piecewise-constant objectives."""
+    """Bracketing grid search for scalar, possibly piecewise-constant objectives.
+
+    Returns (theta, value, converged); a budget that runs out mid-round
+    returns the best point evaluated so far, unconverged."""
     lo, hi = float(bounds[0, 0]), float(bounds[0, 1])
     best_x, best_f = lo, np.inf
     for _ in range(_GRID_ROUNDS):
         xs = np.linspace(lo, hi, _GRID_POINTS)
-        fs = np.empty(_GRID_POINTS)
+        fs = np.full(_GRID_POINTS, np.inf)  # a point the budget refuses stays inf
         for i, x in enumerate(xs):
             if not budget.spend():
-                return np.array([best_x]), best_f, False
+                break
             fs[i] = value(np.array([x]))
         b = int(np.argmin(fs))
         if fs[b] < best_f:
             best_f, best_x = float(fs[b]), float(xs[b])
+        if budget.used > budget.limit:
+            return np.array([best_x]), best_f, False
         lo, hi = xs[max(b - 1, 0)], xs[min(b + 1, _GRID_POINTS - 1)]
     return np.array([best_x]), best_f, True
 
@@ -570,10 +575,11 @@ def gmm_bootstrap_estimator(
     returns once the objective reaches its floor, with no last Jacobian or
     line search, and each Jacobian at an accepted step reuses the link
     values of the moment evaluation just before it. On the 30x30 poisson:4
-    bootstrap (about 1,850 kept units a replicate, 2-core Xeon host) a
-    replicate takes about 540 µs of CPU time, draws included; ``log_ndtr``
-    takes about 140 µs of it and the seven unit-order sums (``np.einsum``)
-    about 90 µs, both fixed by the bits.
+    bootstrap (about 1,950 kept units a replicate, 2-core Xeon host) a
+    replicate takes about 480 µs of CPU time, draws included; the link
+    kernel ``_probit_lam`` takes about 180 µs of it (2.9 calls of about
+    60 µs, some 50 numpy calls each) and the seven unit-order sums
+    (``np.einsum``) about 90 µs, both fixed by the bits.
     """
     xi = xi or WeightMatrix.identity(model.n_moments)
     config = config or OptimizerConfig()
@@ -590,8 +596,8 @@ def gmm_bootstrap_estimator(
             warm = None if anchor is None else _warm_rows(sample, model, anchor)
             hit = full = (sample, coords, warm)
         _, coords, warm = hit
-        uw = reduce(np.multiply, [w[c] for w, c in zip(weights.per_dim_counts, coords)])
-        kept = uw.nonzero()[0]
+        uw = reduce(np.multiply, [w.take(c) for w, c in zip(weights.per_dim_counts, coords)])
+        kept = (uw != 0).nonzero()[0]  # a bool mask's nonzero is twice as fast as int64's
         if warm is not None:
             warm = tuple(None if r is None else r.take(kept, axis=0) for r in warm)
         units = _Units(sample.dims, sample.values.take(kept, axis=0))
@@ -654,34 +660,143 @@ def quantile_iv_moments(
     )
 
 
-@cache
-def _log_ndtr():
-    from scipy import special  # deferred: slow to import, needed only here
+# The error function as rational approximations of Cody (1969), in the form of
+# Cephes' ndtr.c (Moshier 1989), highest power first: erf(t) = t T(t^2) / U(t^2)
+# for |t| < 1 and erfcx(t) = exp(t^2) erfc(t) = P(t) / Q(t) for 1 <= t < 8,
+# R(t) / S(t) above. U, Q and S are monic.
+_CEPHES_T = (9.60497373987051638749e0, 9.00260197203842689217e1, 2.23200534594684319226e3,
+             7.00332514112805075473e3, 5.55923013010394962768e4)
+_CEPHES_U = (1.0, 3.35617141647503099647e1, 5.21357949780152679795e2,
+             4.59432382970980127987e3, 2.26290000613890934246e4, 4.92673942608635921086e4)
+_CEPHES_P = (2.46196981473530512524e-10, 5.64189564831068821977e-1, 7.46321056442269912687e0,
+             4.86371970985681366614e1, 1.96520832956077098242e2, 5.26445194995477358631e2,
+             9.34528527171957607540e2, 1.02755188689515710272e3, 5.57535335369399327526e2)
+_CEPHES_Q = (1.0, 1.32281951154744992508e1, 8.67072140885989742329e1, 3.54937778887819891062e2,
+             9.75708501743205489753e2, 1.82390916687909736289e3, 2.24633760818710981792e3,
+             1.65666309194161350182e3, 5.57535340817727675546e2)
+_CEPHES_R = (5.64189583547755073984e-1, 1.27536670759978104416e0, 5.01905042251180477414e0,
+             6.16021097993053585195e0, 7.40974269950448939160e0, 2.97886665372100240670e0)
+_CEPHES_S = (1.0, 2.26052863220117276590e0, 9.39603524938001434673e0, 1.20489539808096656605e1,
+             1.70814450747565897222e1, 9.60896809063285878198e0, 3.36907645100081516050e0)
+_SQRT2 = math.sqrt(2.0)
+_SQRT_PI_OVER_2 = math.sqrt(math.pi / 2.0)  # half of sqrt(2 pi) = exp(-q^2 / 2) / phi(q)
+_FAR = 8.0 * _SQRT2  # q below -_FAR is t below -8, where R / S takes over from P / Q
+_ASYMPTOTE = -1e8  # below, lam(q) = -q - 1/q + ... rounds to -q
 
-    return special.log_ndtr
+
+def _rescaled(coeffs, scale):
+    """The coefficients of p(scale * v) as a polynomial in v."""
+    last = len(coeffs) - 1
+    return [c * scale ** (last - k) for k, c in enumerate(coeffs)]
+
+
+# Each pair of real polynomials is one complex Horner: since the variable has
+# no imaginary part, (a + ib) v + (c + id) has parts a v + c and b v + d exactly.
+# Centre, in v = q^2: 32 U(v / 2), monic, and 32 T(v / 2) sqrt(pi) / 2, so that q
+# times their ratio is sqrt(pi/2) erf(t); tails, in v = |q|: sqrt(pi/2) P(v / sqrt 2)
+# and Q(v / sqrt 2).
+_CENTRE = tuple(map(
+    complex, [32 * c for c in _rescaled(_CEPHES_U, 0.5)],
+    [0.0, *(16 * math.sqrt(math.pi) * c for c in _rescaled(_CEPHES_T, 0.5))],
+))
+_TAILS = tuple(map(
+    complex, [c * _SQRT_PI_OVER_2 for c in _rescaled(_CEPHES_P, 1 / _SQRT2)],
+    _rescaled(_CEPHES_Q, 1 / _SQRT2),
+))
+
+
+def _horner(coeffs, v: np.ndarray) -> np.ndarray:
+    """sum_k coeffs[k] v^(d - k), d = len(coeffs) - 1 >= 1, on a new array."""
+    if coeffs[0] == 1:  # monic: v + c1 is 1 v + c1 exactly, with one call less
+        out = v + coeffs[1]
+    else:
+        out = np.multiply(v, coeffs[0])
+        out += coeffs[1]
+    for c in coeffs[2:]:
+        out *= v
+        out += c
+    return out
 
 
 def _probit_lam(q: np.ndarray) -> np.ndarray:
-    # phi(q)/Phi(q) evaluated in the log domain; stable for large |q|; in
-    # place, in the order of exp(-0.5 q^2 - log(2 pi) / 2 - log Phi(q))
-    t = np.square(q)
-    t *= -0.5
-    t -= 0.5 * math.log(2 * math.pi)
-    t -= _log_ndtr()(q)
-    return np.exp(t, out=t)
+    """lam(q) = phi(q) / Phi(q), the inverse Mills ratio, for a float64 array
+    q, with numpy alone.
+
+    With t = q / sqrt 2 and e = exp(-q^2 / 2), so that phi = e / sqrt(2 pi):
+
+    - |t| < 1: Phi = (1 + erf t) / 2, so lam = e / (sqrt(pi/2) (1 + erf t));
+    - |t| >= 1: Phi = e erfcx(-t) / 2 below and 1 - e erfcx(t) / 2 above,
+      so lam = e / |sqrt(2 pi) [q > 0] - sqrt(pi/2) e erfcx(|t|)|. For
+      q <= -sqrt 2 that is sqrt(2/pi) / erfcx(-t): e cancels, with no log
+      and nothing subtracted. Below t = -8, R / S replaces P / Q, and below
+      q = -1e8 lam is -q. |q| is capped at 40 in P / Q and in e, which
+      changes nothing above 0: there Phi rounds to 1 beyond q = 8.3, and e
+      underflows to 0 at 38.6, where phi does.
+
+    Relative error against mpmath: a few ulps for q <= 8; above, that of
+    exp(-q^2 / 2) with q^2 rounded, up to about 4e-14 where lam nears the
+    smallest normal number. NaN maps to NaN. Only elementwise ufuncs run
+    (no BLAS, no einsum), so an element's bits depend on its q alone, not
+    on the other elements of the array.
+    """
+    out = np.empty(q.shape)
+    centre = np.abs(q) < _SQRT2
+    i = centre.nonzero()[0]
+    if i.size:
+        qc = q.take(i)
+        v = np.multiply(qc, qc, out=np.empty(qc.shape, np.complex128))
+        w = _horner(_CENTRE, v)
+        e = np.multiply(v.real, -0.5)
+        np.exp(e, out=e)
+        den = np.divide(w.imag, w.real)
+        den *= qc
+        den += _SQRT_PI_OVER_2
+        out[i] = np.divide(e, den, out=den)
+    j = np.logical_not(centre, out=centre).nonzero()[0]
+    if j.size:
+        qt = q.take(j)
+        v = np.minimum(np.abs(qt), 40.0, out=np.empty(qt.shape, np.complex128))
+        w = _horner(_TAILS, v)
+        e = np.multiply(v.real, v.real)
+        e *= -0.5
+        np.exp(e, out=e)
+        den = np.copysign(_SQRT_PI_OVER_2, qt)
+        den += _SQRT_PI_OVER_2  # sqrt(2 pi) above, 0 below
+        den -= np.divide(w.real, w.imag) * e
+        np.abs(den, out=den)
+        far = np.fmin.reduce(qt) < -_FAR
+        if far:  # their e may be 0, and their P / Q is off its range
+            k = (qt < -_FAR).nonzero()[0]
+            den[k] = 1.0
+        lam = np.divide(e, den, out=den)
+        if far:
+            lam[k] = _far_left(qt.take(k))
+        out[j] = lam
+    return out
+
+
+def _far_left(q: np.ndarray) -> np.ndarray:
+    """lam(q) for q < -8 sqrt 2: sqrt(2/pi) S(s) / R(s) at s = -q / sqrt 2, -q below -1e8."""
+    s = np.maximum(q, _ASYMPTOTE) * (-1 / _SQRT2)
+    lam = _horner(_CEPHES_S, s)
+    lam /= _horner(_CEPHES_R, s)
+    lam /= _SQRT_PI_OVER_2
+    return np.where(q < _ASYMPTOTE, -q, lam)
 
 
 def probit_score_moments(
     outcome_index: int = 0, x_index: int = 1, bounds=None
 ) -> MomentModel:
-    """Probit pseudo-score moments s = lam * (1, X)' with the analytic Hessian.
+    """Probit pseudo-score moments s = (2Y - 1) lam(q) (1, X)' with the analytic Hessian.
 
-    lam = (2Y - 1) phi(q) / Phi(q) at q = (2Y - 1)(b0 + b1 X); minimizing
-    the moment norm is the probit pseudo-MLE, which ignores within- and
-    cross-cell correlation (the multiway sandwich puts it back). The
-    moments (n, 2) and the Jacobian (n, 2, 2) are fresh C-ordered arrays,
-    which :func:`multiway.data.row_sum` sums in place and the bootstrap
-    hook gathers along the unit axis.
+    lam(q) = phi(q) / Phi(q) is the inverse Mills ratio at q = (2Y - 1)(b0 +
+    b1 X), from a numpy kernel (no scipy) accurate to a few ulps below q = 8
+    and finite for every finite q, however far into the left tail an unscaled
+    regressor puts it; minimizing the moment norm is the probit pseudo-MLE,
+    which ignores within- and cross-cell correlation (the multiway sandwich
+    puts it back). The moments (n, 2) and the Jacobian (n, 2, 2) are fresh
+    C-ordered arrays, which :func:`multiway.data.row_sum` sums in place and
+    the bootstrap hook gathers along the unit axis.
 
     Two one-tuple caches, each keyed on the ``values`` array itself, read
     once and replaced whole, so threads sharing the model never see a torn
@@ -690,10 +805,10 @@ def probit_score_moments(
     - the per-unit design of the last sample (the column and binary checks
       passed, then the 1-d columns sign 2Y - 1, X and X * X), built once
       per sample rather than once per evaluation;
-    - the last link values (eta, lam, with X and X * X), also keyed on the
-      dtype and bytes of theta, so the Jacobian at a point whose moments
+    - the last link values (eta and lam(q), with the design), also keyed on
+      the dtype and bytes of theta, so the Jacobian at a point whose moments
       were just evaluated (every accepted Gauss-Newton step) reuses the
-      ``log_ndtr`` work.
+      kernel's work.
     """
     if bounds is None:
         bounds = np.tile([-5.0, 5.0], (2, 1))
@@ -715,7 +830,7 @@ def probit_score_moments(
         return out
 
     def link(values, theta):
-        """(x, x * x, eta, lam) at theta."""
+        """(sign, x, x * x, eta, lam(sign * eta)) at theta."""
         nonlocal last
         theta = np.asarray(theta)
         key = (theta.dtype, theta.tobytes())
@@ -724,23 +839,22 @@ def probit_score_moments(
             return hit[2]
         sign, x, xx = unit_design(values)
         eta = theta[0] + theta[1] * x
-        lam = sign * _probit_lam(sign * eta)
-        out = (x, xx, eta, lam)
+        out = (sign, x, xx, eta, _probit_lam(sign * eta))
         last = (values, key, out)
         return out
 
     def fn(values, theta):
-        x, _, _, lam = link(values, theta)
+        sign, x, _, _, lam = link(values, theta)
         out = np.empty((lam.shape[0], 2))
-        out[:, 0] = lam
-        np.multiply(lam, x, out=out[:, 1])
+        np.multiply(sign, lam, out=out[:, 0])
+        np.multiply(out[:, 0], x, out=out[:, 1])
         return out
 
     def jacobian(values, theta):
-        x, xx, eta, lam = link(values, theta)
-        g = -lam * (eta + lam)
-        out = np.empty((g.shape[0], 2, 2))
-        out[:, 0, 0] = g
+        sign, x, xx, eta, lam = link(values, theta)
+        lam = sign * lam
+        out = np.empty((lam.shape[0], 2, 2))
+        g = np.multiply(np.negative(lam), eta + lam, out=out[:, 0, 0])
         np.multiply(g, x, out=out[:, 0, 1])
         out[:, 1, 0] = out[:, 0, 1]
         np.multiply(g, xx, out=out[:, 1, 1])

@@ -1,12 +1,13 @@
 """Cold start: importing multiway loads numpy only, and so do the Wald
 regions of ``estimate`` and ``mc``, whose quantiles need only the
-standard library.
+standard library, and the probit GMM, whose link is a numpy kernel.
 
 ``scipy.special``, ``scipy.optimize`` and ``scipy.integrate`` are imported
-inside the functions that call them (the probit link, linked cell sizes
-and their true value, Nelder-Mead), and the process pool only when
-``mc`` runs more than one worker. Every check runs in a fresh interpreter,
-since an earlier test in this process may already have loaded scipy.
+inside the functions that call them (linked cell sizes and their true
+value, Nelder-Mead for several nonsmooth coefficients), and the process
+pool only when ``mc`` runs more than one worker. Every check runs in a
+fresh interpreter, since an earlier test in this process may already have
+loaded scipy.
 """
 
 import json
@@ -15,6 +16,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -108,15 +110,71 @@ def test_linked_cell_sizes_load_scipy_special_on_first_use(tmp_path):
     assert "scipy.special" in res["heavy"]
 
 
-def test_probit_bootstrap_loads_scipy_special_on_first_use(tmp_path):
-    data, model = tmp_path / "p.csv", tmp_path / "probit.json"
+@pytest.fixture(scope="module")
+def probit_csv(tmp_path_factory):
+    data = tmp_path_factory.mktemp("probit") / "p.csv"
+    res = fresh("simulate", "--dgp", "probit", "--dims", "6,6", "--cell-sizes",
+                "poisson:3", "--seed", "4", "-o", data)
+    assert res == {"code": 0, "heavy": []}
+    model = data.parent / "probit.json"
     model.write_text(json.dumps({"family": "probit", "outcome_index": 0, "x_index": 1}))
-    assert fresh("simulate", "--dgp", "probit", "--dims", "6,6", "--cell-sizes",
-                 "poisson:3", "--seed", "4", "-o", data)["code"] == 0
+    return data, model
+
+
+@pytest.mark.parametrize("adjustment", ["unit", "cgm"])
+def test_probit_estimate_loads_no_scipy(probit_csv, adjustment):
+    data, model = probit_csv
+    out = data.parent / f"est-{adjustment}.json"
+    res = fresh("estimate", "--input", data, "--dims", "6,6", "--estimator", "gmm",
+                "--model-config", model, "--variance", "v1,cgm", "--adjustment", adjustment,
+                "-o", out)
+    assert res == {"code": 0, "heavy": []}
+    assert set(json.loads(out.read_text())["wald"]) == {"v1", "cgm"}
+
+
+def test_probit_bootstrap_loads_no_scipy(probit_csv):
+    data, model = probit_csv
+    base = data.parent / "boot"
     res = fresh("bootstrap", "--input", data, "--dims", "6,6", "--estimator", "gmm",
-                "--model-config", model, "--b", "40", "--seed", "5", "-o", tmp_path / "b")
+                "--model-config", model, "--b", "40", "--seed", "5", "-o", base)
+    assert res == {"code": 0, "heavy": []}
+    assert Path(f"{base}.replicates.csv").read_text().count("\n") > 1
+
+
+def test_probit_mc_loads_no_scipy(tmp_path):
+    config = tmp_path / "mc.json"
+    config.write_text(json.dumps({
+        "dgp": {"variant": "probit"},
+        "dims": [5, 5],
+        "replications": 3,
+        "methods": ["wald-v1", "boot-symabs"],
+        "bootstrap_b": 40,
+        "estimator": "probit",
+        "seed": 6,
+    }))
+    base = tmp_path / "mc"
+    res = fresh("mc", "--config", config, "--workers", 1, "-o", base)
+    assert res == {"code": 0, "heavy": []}
+    methods = json.loads(Path(f"{base}.json").read_text())["methods"]
+    assert {m["method"] for m in methods} == {"wald-v1", "boot-symabs"}
+
+
+def test_two_coefficient_quantile_iv_loads_scipy_optimize_on_first_use(tmp_path):
+    # W = 0.5 + 1.5 X + U on 6x5 cells; the coefficients of (1, X) are fit by Nelder-Mead
+    rng = np.random.default_rng(3)
+    cells, x = rng.integers(1, [7, 6], size=(120, 2)), rng.normal(size=120)
+    w = 0.5 + 1.5 * x + rng.normal(size=120)
+    data = tmp_path / "q.csv"
+    rows = zip(cells.tolist(), w.tolist(), x.tolist())
+    data.write_text("dim1,dim2,y1,y2,y3\n"
+                    + "".join(f"{a},{b},{wi!r},1.0,{xi!r}\n" for (a, b), wi, xi in rows))
+    model = tmp_path / "qiv.json"
+    model.write_text(json.dumps({"family": "quantile_iv", "tau": 0.5, "outcome_index": 0,
+                                 "x_indices": [1, 2], "z_indices": [1, 2]}))
+    res = fresh("estimate", "--input", data, "--dims", "6,5", "--estimator", "gmm",
+                "--model-config", model, "-o", tmp_path / "est.json")
     assert res["code"] == 0
-    assert "scipy.special" in res["heavy"]
+    assert "scipy.optimize" in res["heavy"]
 
 
 def test_mc_writes_the_same_bytes_with_one_and_two_worker_processes(tmp_path):

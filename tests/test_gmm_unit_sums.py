@@ -6,19 +6,18 @@ layout of the rows, so every mean must equal a plain left-to-right Python
 sum over pi_c; the shapes include rows longer than numpy's 8,192-element
 iterator buffer. The probit model returns C-ordered moments
 and Jacobians; byte for byte they must equal the stacked formulas
-lam[:, None] * (1, x) and g[:, None, None] * [[1, x], [x, x^2]] built on
-the log-domain link, all kept below as they read before the unit-major
-layout.
+lam[:, None] * (1, x) and g[:, None, None] * [[1, x], [x, x^2]] with
+lam = sign * lam(q) from the link's kernel and g = -lam (eta + lam), all
+kept below as they read before the unit-major layout.
 """
 
 import math
 
 import numpy as np
 import pytest
-from scipy import special
 
 from multiway.data import row_sum
-from multiway.gmm import probit_score_moments
+from multiway.gmm import _probit_lam, probit_score_moments
 
 PI_C = 7
 
@@ -89,9 +88,7 @@ def _parent_probit(values, theta):
     y, x = values[:, 0], values[:, 1]
     sign = 2.0 * y - 1.0
     eta = theta[0] + theta[1] * x
-    q = sign * eta
-    log_phi = -0.5 * q**2 - 0.5 * math.log(2 * math.pi)
-    lam = sign * np.exp(log_phi - special.log_ndtr(q))
+    lam = sign * _probit_lam(sign * eta)
     ones_x = np.column_stack([np.ones_like(x), x])
     outer = np.empty((x.shape[0], 2, 2))
     outer[:, 0, 0] = 1.0

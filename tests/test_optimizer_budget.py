@@ -12,7 +12,9 @@ from multiway import ConvergenceError, Dimensions
 from multiway.cli import main
 from multiway.data import sample_from_cell_ids
 from multiway.dataio import write_dataset_csv
-from multiway.gmm import OptimizerConfig, gmm_fit, quantile_iv_moments
+from multiway.gmm import (
+    OptimizerConfig, WeightMatrix, gmm_fit, gmm_objective, quantile_iv_moments
+)
 
 
 def _design():
@@ -28,12 +30,16 @@ def _design():
 
 
 def test_grid_budget_below_one_round_raises_with_a_best_theta():
-    # 100 evaluations end inside the grid's first round of 201 points
+    # 100 evaluations end inside the grid's first round of 201 points; the
+    # best of those 100 is the point reported
+    sample = _design()
     model = quantile_iv_moments(0.5, 0, [2], [2], bounds=[(-5, 5)])
     with pytest.raises(ConvergenceError, match="grid search") as exc:
-        gmm_fit(_design(), model, config=OptimizerConfig(max_evals=100))
-    theta = exc.value.best_theta
-    assert theta.shape == (1,) and -5.0 <= theta[0] <= 5.0
+        gmm_fit(sample, model, config=OptimizerConfig(max_evals=100))
+    xs = np.linspace(-5.0, 5.0, 201)[:100]
+    fs = [gmm_objective(sample, model, WeightMatrix.identity(1), [x]) for x in xs]
+    assert np.isfinite(exc.value.best_value) and exc.value.best_value == min(fs)
+    assert exc.value.best_theta.tolist() == [xs[int(np.argmin(fs))]]
 
 
 def test_nelder_mead_with_no_converged_start_raises_with_a_best_theta():
