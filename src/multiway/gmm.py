@@ -11,17 +11,26 @@ pseudo-score.
 The probit link is a numpy kernel (``_probit_lam``), so importing this
 module, and fitting or bootstrapping the probit, loads numpy only; scipy
 is imported where it is called, by Nelder-Mead (``scipy.optimize``).
+
+Every small matrix operation here except the sandwich ``gmm_variance``
+(which OLS shares) runs in :mod:`multiway.smallmat`, in Python floats and
+a fixed order: the weight's positive-definiteness check and root, the
+two-step inverse, the identification check, Gauss-Newton's products and
+step, the objective's quadratic form. The identity-weighted fit and every
+bootstrap replicate therefore call no BLAS or LAPACK, and their bits do
+not depend on the host's OpenBLAS kernels.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from functools import cached_property, partial, reduce
+from dataclasses import dataclass, field
+from functools import partial, reduce
 from typing import Callable, NamedTuple
 
 import numpy as np
 
+from . import smallmat
 from .bootstrap import PigeonholeWeights
 from .data import ClusteredSample, Dimensions, check_columns, row_sum, sum_by_cell
 from .errors import (
@@ -107,9 +116,14 @@ class WeightMatrix:
 
     A matrix that is not square raises ShapeError; one that is not finite,
     symmetric and positive definite raises SingularVarianceError, since the
-    two-step weight is the inverse of a variance estimate."""
+    two-step weight is the inverse of a variance estimate. Positive definite
+    means that the Cholesky factorisation of the symmetrized matrix
+    (:func:`multiway.smallmat.cholesky`) finds positive pivots; ``root``,
+    A with A'A = Xi (the transposed factor), so |A m| = sqrt(m' Xi m),
+    comes from that factor."""
 
     xi: np.ndarray
+    root: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         xi = np.asarray(self.xi, dtype=np.float64)
@@ -120,18 +134,17 @@ class WeightMatrix:
         scale = max(np.abs(xi).max(), 1e-300)
         if np.abs(xi - xi.T).max() > 1e-12 * scale:
             raise SingularVarianceError("weight matrix must be symmetric")
-        if np.linalg.eigvalsh(xi)[0] <= 0:
-            raise SingularVarianceError("weight matrix must be positive definite")
-        object.__setattr__(self, "xi", 0.5 * (xi + xi.T))
+        xi = 0.5 * (xi + xi.T)
+        try:
+            low = smallmat.cholesky(xi.tolist())
+        except smallmat.NotPositiveDefinite:
+            raise SingularVarianceError("weight matrix must be positive definite") from None
+        object.__setattr__(self, "xi", xi)
+        object.__setattr__(self, "root", np.array(list(zip(*low))))
 
     @classmethod
     def identity(cls, n_moments: int) -> WeightMatrix:
         return cls(np.eye(n_moments))
-
-    @cached_property
-    def root(self) -> np.ndarray:
-        """A with A'A = Xi (the transposed Cholesky factor), so |A m| = sqrt(m' Xi m)."""
-        return np.linalg.cholesky(self.xi).T
 
 
 @dataclass(frozen=True)
@@ -186,8 +199,8 @@ def gmm_objective(
 ) -> float:
     """M(theta) = |Xi^(1/2) m_bar(theta)|; nonnegative, zero iff m_bar = 0."""
     theta = np.asarray(theta, dtype=np.float64)
-    mb = moment_bar(sample, model, theta, unit_weights)
-    return float(math.sqrt(max(mb @ xi.xi @ mb, 0.0)))
+    mb = moment_bar(sample, model, theta, unit_weights).tolist()
+    return math.sqrt(max(smallmat.dot(mb, smallmat.matvec(xi.xi.tolist(), mb)), 0.0))
 
 
 def gmm_jhat(
@@ -271,11 +284,24 @@ class _Budget:
         return self.used <= self.limit
 
 
-def _gauss_newton(residual, jac_residual, start, bounds, tol, budget):
-    """Projected Gauss-Newton with halving backtracking.
+def _floats(v):
+    """A residual or its Jacobian as (nested) lists of Python floats."""
+    return v.tolist() if isinstance(v, np.ndarray) else v
 
-    ``residual(theta)`` is Xi^(1/2) m_bar; the objective f is half its
-    squared norm. Returns (theta, value, converged).
+
+def _gauss_newton(residual, jac_residual, start, bounds, tol, budget):
+    """Projected Gauss-Newton with halving backtracking, in Python floats.
+
+    ``residual(theta)`` is Xi^(1/2) m_bar, a vector, and ``jac_residual``
+    its L x p Jacobian, each as a list (of rows) or an array; the objective
+    f is half the squared norm of the residual. Both receive theta as a
+    float64 array. Returns (theta, value, converged).
+
+    Every product, the normal equations (J'J + ridge I) step = -J'r and
+    their Cholesky solve go through :mod:`multiway.smallmat`, in a fixed
+    order. A Jacobian that is not finite, or a step that is not, raises
+    SingularDesignError, the refusal of :func:`gmm_fit`; a Cholesky that
+    fails on the normal matrix ends the start unconverged.
 
     A candidate is accepted only if fc < f - 1e-12 (1 + f). Once
     f - 1e-12 (1 + f) <= 0 (f below about 1e-12) no candidate can pass,
@@ -288,45 +314,49 @@ def _gauss_newton(residual, jac_residual, start, bounds, tol, budget):
     search (or the skipped Gauss-Newton step would have been singular),
     the point is now reported as converged instead of not.
     """
-    lo, hi = bounds[:, 0], bounds[:, 1]
-    eye = np.eye(len(start))
-    n = max(len(start), 1)
-    theta = np.clip(start, lo, hi)
+    lo, hi = bounds[:, 0].tolist(), bounds[:, 1].tolist()
+    n = max(len(lo), 1)
+    theta = [min(max(v, a), b) for v, a, b in zip(start.tolist(), lo, hi)]
     if not budget.spend():
-        return theta, np.inf, False
-    r = residual(theta)
-    f = 0.5 * float(r @ r)
+        return np.array(theta), np.inf, False
+    r = _floats(residual(np.array(theta)))
+    f = 0.5 * smallmat.dot(r, r)
+    if not f < math.inf:  # no candidate can be compared with a NaN or infinite f
+        return np.array(theta), math.sqrt(2 * f), False
     for _ in range(200):
         if f - 1e-12 * (1 + f) <= 0:
-            return theta, math.sqrt(2 * f), True
-        jr = jac_residual(theta)
-        jrt = jr.T
-        jtj = jrt @ jr
-        ridge = 1e-12 * max(float(jtj.trace()) / n, 1e-300)
+            return np.array(theta), math.sqrt(2 * f), True
+        jr = _floats(jac_residual(np.array(theta)))
+        if not smallmat.isfinite(jr):
+            raise SingularDesignError(f"J is not finite at theta={np.array(theta)}")
+        jtj = smallmat.gram(jr)
+        ridge = 1e-12 * max(smallmat.trace(jtj) / n, 1e-300)
         try:
-            step = -np.linalg.solve(jtj + ridge * eye, jrt @ r)
-        except np.linalg.LinAlgError:
-            return theta, math.sqrt(2 * f), False
+            step = smallmat.cho_solve(smallmat.cholesky(jtj, ridge), smallmat.tmatvec(jr, r))
+        except smallmat.NotPositiveDefinite:
+            return np.array(theta), math.sqrt(2 * f), False
+        if not smallmat.isfinite([step]):
+            raise SingularDesignError(f"J is not finite at theta={np.array(theta)}")
         t, improved = 1.0, False
-        cand, rc, fc = theta, r, f
         for _ in range(40):
-            cand = (theta + t * step).clip(lo, hi)
+            cand = [min(max(v - t * d, a), b) for v, d, a, b in zip(theta, step, lo, hi)]
             if not budget.spend():
-                return theta, math.sqrt(2 * f), False
-            rc = residual(cand)
-            fc = 0.5 * float(rc @ rc)
+                return np.array(theta), math.sqrt(2 * f), False
+            rc = _floats(residual(np.array(cand)))
+            fc = 0.5 * smallmat.dot(rc, rc)
             if fc < f - 1e-12 * (1 + f):
                 improved = True
                 break
             t *= 0.5
         if not improved:
             # no descent left along the Gauss-Newton direction: stationary
-            return theta, math.sqrt(2 * f), True
+            return np.array(theta), math.sqrt(2 * f), True
         dropped = f - fc
-        prev, theta, r, f = theta, cand, rc, fc
-        if dropped < tol * (1 + f) or abs(theta - prev).max() < tol * (1 + abs(theta).max()):
-            return theta, math.sqrt(2 * f), True
-    return theta, math.sqrt(2 * f), False
+        moved = max(abs(v - w) for v, w in zip(cand, theta))
+        theta, r, f = cand, rc, fc
+        if dropped < tol * (1 + f) or moved < tol * (1 + max(map(abs, theta))):
+            return np.array(theta), math.sqrt(2 * f), True
+    return np.array(theta), math.sqrt(2 * f), False
 
 
 # The bracketing grid: 201 points a round for 8 rounds, 1,608 of the default max_evals.
@@ -406,7 +436,7 @@ def _minimize(sample, model, xi, config, unit_weights=None, starts=None, warm=No
         raise EmptySampleError("GMM needs at least one unit")
     budget = _Budget(config.max_evals)
     if model.smooth:
-        root, values, pi_c = xi.root, sample.values, sample.dims.pi_c
+        root, values, pi_c = xi.root.tolist(), sample.values, sample.dims.pi_c
         m_rows, d_rows = warm or (None, None)
 
         def residual(theta):
@@ -414,14 +444,16 @@ def _minimize(sample, model, xi, config, unit_weights=None, starts=None, warm=No
             rows, m_rows = m_rows, None
             if rows is None:
                 rows = model.moments(values, theta)
-            return root @ (row_sum(rows, unit_weights) / pi_c)
+            return smallmat.matvec(root, (row_sum(rows, unit_weights) / pi_c).tolist())
 
         def jac_residual(theta):
             nonlocal d_rows
             if d_rows is None:
-                return root @ gmm_jhat(sample, model, theta, unit_weights)
-            rows, d_rows = d_rows, None
-            return root @ (row_sum(rows, unit_weights) / pi_c)
+                jhat = gmm_jhat(sample, model, theta, unit_weights)
+            else:
+                rows, d_rows = d_rows, None
+                jhat = row_sum(rows, unit_weights) / pi_c
+            return smallmat.matmul(root, jhat.tolist())
 
         best = (None, np.inf, False)
         for start in starts or _starts(model, config):
@@ -515,20 +547,23 @@ def gmm_fit(
 
     theta, val, evals = _minimize(sample, model, xi, config)
     if two_step:
-        h1 = gmm_hhat(sample, model, theta)
-        ridge = 1e-10 * max(np.trace(h1), 1e-300) / model.n_moments
-        xi = WeightMatrix(np.linalg.inv(h1 + ridge * np.eye(model.n_moments)))
+        h1 = gmm_hhat(sample, model, theta).tolist()
+        ridge = 1e-10 * max(smallmat.trace(h1), 1e-300) / model.n_moments
+        try:
+            xi = WeightMatrix(np.array(smallmat.spd_inverse(h1, ridge)))
+        except smallmat.NotPositiveDefinite:
+            raise SingularVarianceError("weight matrix must be positive definite") from None
         theta, val, evals2 = _minimize(sample, model, xi, config)
         evals += evals2
 
     jhat, bread = None, no_jacobian
     if model.jacobian is not None or model.smooth:
         jhat = gmm_jhat(sample, model, theta)
-        root_j = xi.root @ jhat
-        if not np.isfinite(root_j).all():
+        root_j = smallmat.matmul(xi.root.tolist(), jhat.tolist())
+        if not smallmat.isfinite(root_j):
             raise SingularDesignError(f"J is not finite at theta={theta}")
-        s = np.linalg.svd(root_j, compute_uv=False)
-        check_condition(s[::-1] ** 2, SingularDesignError, "J' Xi J is singular")
+        s = smallmat.singular_values(root_j)
+        check_condition([v * v for v in s], SingularDesignError, "J' Xi J is singular")
         bread = partial(gmm_variance, jhat, xi=xi)
     scores = cell_moment_sums(sample, model, theta)
     hook = gmm_bootstrap_estimator(model, xi=xi, config=config, warm_start=theta)
@@ -576,10 +611,13 @@ def gmm_bootstrap_estimator(
     line search, and each Jacobian at an accepted step reuses the link
     values of the moment evaluation just before it. On the 30x30 poisson:4
     bootstrap (about 1,950 kept units a replicate, 2-core Xeon host) a
-    replicate takes about 480 µs of CPU time, draws included; the link
-    kernel ``_probit_lam`` takes about 180 µs of it (2.9 calls of about
-    60 µs, some 50 numpy calls each) and the seven unit-order sums
-    (``np.einsum``) about 90 µs, both fixed by the bits.
+    replicate takes about 500 µs of CPU time, draws included; the link
+    kernel ``_probit_lam`` takes about 195 µs of it (3.0 calls of about
+    65 µs, some 50 numpy calls each) and the seven unit-order sums
+    (``np.einsum``) about 95 µs, both fixed by the bits. Gauss-Newton's
+    2 x 2 algebra, in Python floats (:mod:`multiway.smallmat`), costs
+    about what numpy's small-array calls did, and loads no BLAS or LAPACK
+    code.
     """
     xi = xi or WeightMatrix.identity(model.n_moments)
     config = config or OptimizerConfig()
@@ -623,8 +661,9 @@ def quantile_iv_moments(
     """m = Z (tau - 1{W - X'theta <= 0}): instrumental quantile moments.
 
     Nonsmooth: no Jacobian, finite differences disabled, derivative-free
-    optimization only. The per-unit design (W, X, Z, column checks passed)
-    of the last sample is cached as in :func:`probit_score_moments`: a
+    optimization only. X'theta is summed column by column, in a fixed
+    order. The per-unit design (W, the columns of X, Z, column checks
+    passed) of the last sample is cached as in :func:`probit_score_moments`: a
     one-tuple keyed on the ``values`` array itself, replaced whole.
     """
     if not 0.0 < tau < 1.0:
@@ -646,13 +685,16 @@ def quantile_iv_moments(
         check_columns(
             values.shape[1], outcome_index=(outcome_index,), x_indices=x_idx, z_indices=z_idx
         )
-        out = (values[:, outcome_index], values[:, x_idx], values[:, z_idx])
+        out = (values[:, outcome_index], [values[:, i].copy() for i in x_idx], values[:, z_idx])
         design = (values, out)
         return out
 
     def fn(values, theta):
-        w, x, z = unit_design(values)
-        ind = (w - x @ theta <= 0).astype(np.float64)
+        w, xs, z = unit_design(values)
+        index = xs[0] * theta[0]
+        for k in range(1, p):  # X'theta column by column, in a fixed order
+            index += xs[k] * theta[k]
+        ind = (w - index <= 0).astype(np.float64)
         return z * (tau - ind)[:, None]
 
     return MomentModel(
@@ -682,6 +724,10 @@ _SQRT2 = math.sqrt(2.0)
 _SQRT_PI_OVER_2 = math.sqrt(math.pi / 2.0)  # half of sqrt(2 pi) = exp(-q^2 / 2) / phi(q)
 _FAR = 8.0 * _SQRT2  # q below -_FAR is t below -8, where R / S takes over from P / Q
 _ASYMPTOTE = -1e8  # below, lam(q) = -q - 1/q + ... rounds to -q
+# At or below q = -_TAIL the probit Jacobian takes q + lam(q) from its series
+# (``_left_slope``): there lam's few ulps of error, times about q^2 in
+# q + lam(q), would exceed 1e-11, while five terms leave 8e-17 at q = -100.
+_TAIL = 100.0
 
 
 def _rescaled(coeffs, scale):
@@ -784,6 +830,22 @@ def _far_left(q: np.ndarray) -> np.ndarray:
     return np.where(q < _ASYMPTOTE, -q, lam)
 
 
+def _left_slope(q: np.ndarray, lam: np.ndarray) -> np.ndarray:
+    """The probit Jacobian's -lam(q) (q + lam(q)) for q <= -_TAIL, lam = lam(q).
+
+    With x = -q, q + lam(q) = 1/x - 2/x^3 + 10/x^5 - 74/x^7 + 706/x^9 - ...
+    (the reciprocal of the Mills ratio's series, Abramowitz & Stegun
+    26.2.12), so -lam (q + lam) is -(lam / x) times 1 - 2u + 10u^2 - 74u^3 +
+    706u^4 with u = 1/x^2: nothing cancels, and lam / x, about 1, neither
+    overflows nor underflows however far out q is."""
+    x = np.negative(q)
+    u = np.divide(1.0, x)
+    u *= u
+    poly = _horner((706.0, -74.0, 10.0, -2.0, 1.0), u)
+    poly *= np.divide(lam, x)
+    return np.negative(poly, out=poly)
+
+
 def probit_score_moments(
     outcome_index: int = 0, x_index: int = 1, bounds=None
 ) -> MomentModel:
@@ -805,10 +867,15 @@ def probit_score_moments(
     - the per-unit design of the last sample (the column and binary checks
       passed, then the 1-d columns sign 2Y - 1, X and X * X), built once
       per sample rather than once per evaluation;
-    - the last link values (eta and lam(q), with the design), also keyed on
-      the dtype and bytes of theta, so the Jacobian at a point whose moments
-      were just evaluated (every accepted Gauss-Newton step) reuses the
-      kernel's work.
+    - the last link values (eta, q and lam(q), with the design), also keyed
+      on the dtype and bytes of theta, so the Jacobian at a point whose
+      moments were just evaluated (every accepted Gauss-Newton step) reuses
+      the kernel's work.
+
+    The Jacobian's g = -lam(q) (q + lam(q)), written -(sign lam)(eta + sign
+    lam), loses about q^2 times lam's few ulps where lam(q) -> -q; at or
+    below q = -100 it comes from ``_left_slope`` instead, so that g is
+    within 1e-11 of its value everywhere, and within 1e-14 in that tail.
     """
     if bounds is None:
         bounds = np.tile([-5.0, 5.0], (2, 1))
@@ -830,7 +897,7 @@ def probit_score_moments(
         return out
 
     def link(values, theta):
-        """(sign, x, x * x, eta, lam(sign * eta)) at theta."""
+        """(sign, x, x * x, eta, q = sign * eta, lam(q)) at theta."""
         nonlocal last
         theta = np.asarray(theta)
         key = (theta.dtype, theta.tobytes())
@@ -839,22 +906,26 @@ def probit_score_moments(
             return hit[2]
         sign, x, xx = unit_design(values)
         eta = theta[0] + theta[1] * x
-        out = (sign, x, xx, eta, _probit_lam(sign * eta))
+        q = sign * eta
+        out = (sign, x, xx, eta, q, _probit_lam(q))
         last = (values, key, out)
         return out
 
     def fn(values, theta):
-        sign, x, _, _, lam = link(values, theta)
+        sign, x, _, _, _, lam = link(values, theta)
         out = np.empty((lam.shape[0], 2))
         np.multiply(sign, lam, out=out[:, 0])
         np.multiply(out[:, 0], x, out=out[:, 1])
         return out
 
     def jacobian(values, theta):
-        sign, x, xx, eta, lam = link(values, theta)
-        lam = sign * lam
+        sign, x, xx, eta, q, lam = link(values, theta)
+        lam_s = sign * lam
         out = np.empty((lam.shape[0], 2, 2))
-        g = np.multiply(np.negative(lam), eta + lam, out=out[:, 0, 0])
+        g = np.multiply(np.negative(lam_s), eta + lam_s, out=out[:, 0, 0])
+        if q.size and np.fmin.reduce(q) <= -_TAIL:
+            k = (q <= -_TAIL).nonzero()[0]
+            g[k] = _left_slope(q.take(k), lam.take(k))
         np.multiply(g, x, out=out[:, 0, 1])
         out[:, 1, 0] = out[:, 0, 1]
         np.multiply(g, xx, out=out[:, 1, 1])

@@ -1,8 +1,9 @@
 """Gauss-Newton returns as stationary once no descent is possible.
 
 The reference below is the Gauss-Newton loop as it was before the early
-return, together with a probit model that recomputes (x, eta, lam) on
-every call. Each check runs the same fit through the reference and through
+return, stepping through the same fixed-order kernel
+(:mod:`multiway.smallmat`) as the package, together with a probit model
+that recomputes (x, eta, lam) on every call. Each check runs the same fit through the reference and through
 the package and compares theta and the objective value by ``tobytes()``:
 the early return skips only a line search that could accept no candidate,
 and the probit cache hands back the same bits it would recompute.
@@ -17,7 +18,7 @@ import numpy as np
 import pytest
 
 import multiway.gmm as gmm
-from multiway import Dimensions
+from multiway import Dimensions, smallmat
 from multiway.bootstrap import draw_weights, run_bootstrap
 from multiway.cli import main
 from multiway.data import sample_from_cell_ids
@@ -40,39 +41,40 @@ N_DRAWS = 50
 
 
 def _reference_gauss_newton(residual, jac_residual, start, bounds, tol, budget):
-    theta = np.clip(start, bounds[:, 0], bounds[:, 1])
+    lo, hi = bounds[:, 0].tolist(), bounds[:, 1].tolist()
+    theta = [min(max(v, a), b) for v, a, b in zip(start.tolist(), lo, hi)]
     if not budget.spend():
-        return theta, np.inf, False
-    r = residual(theta)
-    f = 0.5 * float(r @ r)
+        return np.array(theta), np.inf, False
+    r = residual(np.array(theta))
+    f = 0.5 * smallmat.dot(r, r)
     for _ in range(200):
-        jr = jac_residual(theta)
-        jtj = jr.T @ jr
-        ridge = 1e-12 * max(np.trace(jtj) / max(len(theta), 1), 1e-300)
+        jr = jac_residual(np.array(theta))
+        jtj = smallmat.gram(jr)
+        ridge = 1e-12 * max(smallmat.trace(jtj) / max(len(theta), 1), 1e-300)
         try:
-            step = -np.linalg.solve(jtj + ridge * np.eye(len(theta)), jr.T @ r)
-        except np.linalg.LinAlgError:
-            return theta, math.sqrt(2 * f), False
+            step = smallmat.cho_solve(smallmat.cholesky(jtj, ridge), smallmat.tmatvec(jr, r))
+        except smallmat.NotPositiveDefinite:
+            return np.array(theta), math.sqrt(2 * f), False
         t, improved = 1.0, False
         cand, rc, fc = theta, r, f
         for _ in range(40):
-            cand = np.clip(theta + t * step, bounds[:, 0], bounds[:, 1])
+            cand = [min(max(v - t * d, a), b) for v, d, a, b in zip(theta, step, lo, hi)]
             if not budget.spend():
-                return theta, math.sqrt(2 * f), False
-            rc = residual(cand)
-            fc = 0.5 * float(rc @ rc)
+                return np.array(theta), math.sqrt(2 * f), False
+            rc = residual(np.array(cand))
+            fc = 0.5 * smallmat.dot(rc, rc)
             if fc < f - 1e-12 * (1 + f):
                 improved = True
                 break
             t *= 0.5
         if not improved:
-            return theta, math.sqrt(2 * f), True
-        moved = np.max(np.abs(cand - theta))
+            return np.array(theta), math.sqrt(2 * f), True
+        moved = max(abs(c - v) for c, v in zip(cand, theta))
         dropped = f - fc
         theta, r, f = cand, rc, fc
-        if moved < tol * (1 + np.max(np.abs(theta))) or dropped < tol * (1 + f):
-            return theta, math.sqrt(2 * f), True
-    return theta, math.sqrt(2 * f), False
+        if moved < tol * (1 + max(map(abs, theta))) or dropped < tol * (1 + f):
+            return np.array(theta), math.sqrt(2 * f), True
+    return np.array(theta), math.sqrt(2 * f), False
 
 
 def _reference_probit(outcome_index, x_index):

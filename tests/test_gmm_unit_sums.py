@@ -8,7 +8,9 @@ iterator buffer. The probit model returns C-ordered moments
 and Jacobians; byte for byte they must equal the stacked formulas
 lam[:, None] * (1, x) and g[:, None, None] * [[1, x], [x, x^2]] with
 lam = sign * lam(q) from the link's kernel and g = -lam (eta + lam), all
-kept below as they read before the unit-major layout.
+kept below as they read before the unit-major layout, except that g at
+q <= -100, where eta + lam cancels, comes from the series of
+``gmm._left_slope``.
 """
 
 import math
@@ -17,7 +19,7 @@ import numpy as np
 import pytest
 
 from multiway.data import row_sum
-from multiway.gmm import _probit_lam, probit_score_moments
+from multiway.gmm import _TAIL, _left_slope, _probit_lam, probit_score_moments
 
 PI_C = 7
 
@@ -95,6 +97,8 @@ def _parent_probit(values, theta):
     outer[:, 0, 1] = outer[:, 1, 0] = x
     outer[:, 1, 1] = x * x
     g = -lam * (eta + lam)
+    tail = sign * eta <= -_TAIL
+    g[tail] = _left_slope((sign * eta)[tail], _probit_lam((sign * eta)[tail]))
     return lam[:, None] * ones_x, g[:, None, None] * outer
 
 

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 from scipy import special
 
-from multiway.gmm import _probit_lam
+from multiway.gmm import _probit_lam, probit_score_moments
 
 mpmath.mp.dps = 60
 EPS = np.finfo(np.float64).eps
@@ -116,3 +116,55 @@ def test_each_element_depends_on_its_own_q_alone():
     for size in (1, 2, 3, 7, 17, 64, 1001):
         keep = np.sort(rng.choice(q.size, size=size, replace=False))
         assert _probit_lam(q[keep]).tobytes() == whole[keep].tobytes(), size
+
+
+def slope_reference(q: float) -> float:
+    """The probit Jacobian's g = -lam(q) (q + lam(q)) at 60 digits; below
+    -1e3 with x = -q and the Mills ratio's series A = 1 - 1/x^2 + 3/x^4 - ...
+    (lam = x / A), so that q + lam = x (1 - A) / A cancels nothing."""
+    x = mpmath.mpf(q)
+    if q >= -1e3:
+        lam = mpmath.npdf(x) / mpmath.ncdf(x)
+        return float(-lam * (x + lam))
+    x = -x
+    rest, term = mpmath.mpf(0), mpmath.mpf(1)
+    for k in range(1, 8):
+        term *= -(2 * k - 1) / x**2
+        rest += term
+    return float(x / (1 + rest) * x * rest / (1 + rest))
+
+
+def probit_slopes(q: np.ndarray) -> np.ndarray:
+    """g at each q from ``probit_score_moments``' Jacobian, half of the units
+    with Y = 1 and X = q, half with Y = 0 and X = -q, at theta = (0, 1)."""
+    half = q.size // 2
+    y = np.r_[np.ones(half), np.zeros(q.size - half)]
+    x = np.r_[q[:half], -q[half:]]
+    with np.errstate(over="ignore"):  # the design's X * X beyond |X| = 1.3e154
+        d = probit_score_moments(0, 1).jacobian(np.column_stack([y, x]), np.array([0.0, 1.0]))
+    return d[:, 0, 0]
+
+
+@pytest.mark.parametrize("name,q,bound", [
+    ("q <= -100", np.r_[-np.geomspace(100.0, 1e300, 601), -1.7976931348623157e308], 1e-14),
+    ("-100 < q <= 8", np.r_[-np.geomspace(np.nextafter(100.0, 0.0), 1e-3, 800),
+                            np.linspace(0.0, 8.0, 201)], 1e-11),
+])
+def test_jacobian_slope_matches_mpmath(name, q, bound):
+    """Where lam(q) -> -q, g = -lam (eta + lam) would lose about q^2 ulps
+    (-1.25 at q = -1e7, -0.0 below -1e8, where g is about -1)."""
+    g = probit_slopes(q)
+    ref = np.array([slope_reference(v) for v in q.tolist()])
+    err = np.abs(g - ref) / np.abs(ref)
+    worst = int(np.argmax(err))
+    assert err[worst] <= bound, (name, q[worst], err[worst])
+
+
+def test_jacobian_slope_is_negative_up_to_phi_underflow():
+    """g is never -0.0 (or 0) where its true value is a nonzero float; past
+    q = 38.6, where lam itself underflows to 0, it is -0.0, the true value
+    rounded."""
+    q = np.r_[-np.geomspace(1e-300, 1e308, 3001), -1.7976931348623157e308, 0.0,
+              np.geomspace(1e-300, 38.0, 3001)]
+    g = probit_slopes(q)
+    assert (g < 0).all()
