@@ -188,8 +188,9 @@ class BootstrapReplicates:
 
 
 # Exceptions that count a replicate as failed: the package's own refusals
-# (ConvergenceError, EmptySampleError, ...) and LinAlgError, which eigvalsh,
-# solve and svd raise when they do not converge. Anything else (TypeError,
+# (ConvergenceError, SingularDesignError, ...) and LinAlgError, which no
+# estimator of the package raises (their matrices go through smallmat) but
+# a caller's own hook that uses numpy.linalg may. Anything else (TypeError,
 # NotImplementedError, RecursionError, ...) is a programming error and propagates.
 _REPLICATE_FAILURES = (MultiwayError, np.linalg.LinAlgError)
 
@@ -260,8 +261,7 @@ class SymmetricAbsRegion:
     alpha: float
 
     def contains(self, theta) -> bool:
-        d = np.asarray(theta, dtype=np.float64) - self.center
-        return float(np.linalg.norm(d)) <= self.radius
+        return float(_distances(theta, self.center)[0]) <= self.radius
 
     @property
     def interval(self) -> tuple[float, float]:
@@ -308,6 +308,15 @@ class PercentileRegion:
         }
 
 
+def _distances(thetas, center: np.ndarray) -> np.ndarray:
+    """|theta - center| for each row theta of ``thetas`` (or for ``thetas``
+    itself): the one expression of the symmetric-abs radius and of its
+    membership, so a replicate at the radius lies in its region. The bits
+    are those of numpy's 2-norm of each row, which computes the same."""
+    d = np.atleast_2d(np.asarray(thetas, dtype=np.float64) - center)
+    return np.sqrt(np.add.reduce(d * d, axis=1))
+
+
 def symmetric_abs_ci(reps: BootstrapReplicates, alpha: float) -> SymmetricAbsRegion:
     """Region from the (1 - alpha) conditional quantile of |theta* - theta_hat|."""
     n = reps.thetas.shape[0]
@@ -315,7 +324,7 @@ def symmetric_abs_ci(reps: BootstrapReplicates, alpha: float) -> SymmetricAbsReg
         raise InsufficientReplicatesError(
             f"b: {n} successful replicates cannot resolve the {1 - alpha:.3f} quantile"
         )
-    devs = np.sort(np.linalg.norm(reps.thetas - reps.theta_hat, axis=1))
+    devs = np.sort(_distances(reps.thetas, reps.theta_hat))
     return SymmetricAbsRegion(
         center=reps.theta_hat, radius=float(order_statistic(devs, 1 - alpha)), alpha=alpha
     )

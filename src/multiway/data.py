@@ -28,6 +28,7 @@ __all__ = [
     "cell_sums",
     "check_columns",
     "check_dense_lattice",
+    "crossprod",
     "load_sample",
     "pair_counts",
     "row_sum",
@@ -258,7 +259,8 @@ def row_sum(rows: np.ndarray, weights: np.ndarray | None = None) -> np.ndarray:
     """sum_i weights_i rows_i over the leading axis of (n, ...) ``rows``, one
     row after another, with the same bits on every CPU: the one weighted sum
     of the replicates, over cells (``PigeonholeWeights.weighted_sum``) and
-    units (GMM's m_bar and J_hat). C-ordered rows are read in place. With
+    units (GMM's m_bar and J_hat), and of the products in :func:`crossprod`.
+    C-ordered rows are read in place. With
     E >= 2 entries a row, ``np.einsum("ji,j->i")`` adds each column in row
     order, as ``np.add.accumulate`` does, where ``sum`` would add pairwise
     and BLAS in an order of its CPU's choosing; one column, which einsum
@@ -281,6 +283,16 @@ def row_sum(rows: np.ndarray, weights: np.ndarray | None = None) -> np.ndarray:
     else:
         total = np.einsum("ji,j->i", cols, weights)
     return total.reshape(rows.shape[1:])
+
+
+def crossprod(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a'b over the leading axis of ``a`` and of (n,) or (n, k) ``b``: each
+    entry adds the rows in order with :func:`row_sum`, column j of a'b being
+    ``row_sum(a, b[:, j])``, so no (n, d, k) product is built and the
+    entries (i, j) and (j, i) of a'a have the same bits."""
+    if b.ndim == 1:
+        return row_sum(a, b)
+    return np.stack([row_sum(a, col) for col in b.T], axis=-1)
 
 
 def cell_sums(sample: ClusteredSample) -> CellSums:

@@ -15,11 +15,13 @@ included, and refuses non-finite data.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property, partial
 
 import numpy as np
 
+from . import smallmat
 from .bootstrap import PigeonholeWeights, order_statistic
 from .data import (
     CellSums,
@@ -27,6 +29,7 @@ from .data import (
     Dimensions,
     cell_sums,
     check_columns,
+    crossprod,
     sum_by_cell,
 )
 from .errors import ConfigError, EmptySampleError, SingularDesignError
@@ -154,11 +157,17 @@ class LinearModelSpec:
         return np.hstack(cols), values[:, self.outcome_index]
 
 
-def _solve_gram(gram: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The solution and the checked ascending eigenvalues of the Gram matrix."""
-    evals = np.linalg.eigvalsh(0.5 * (gram + gram.T))
+def _solve_gram(gram: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, list[float]]:
+    """The solution and the checked ascending eigenvalues of the Gram matrix,
+    from its Cholesky factor and its singular values."""
+    gram = gram.tolist()
+    try:
+        low = smallmat.cholesky(gram)
+    except smallmat.NotPositiveDefinite as exc:
+        raise SingularDesignError(f"Gram matrix is singular ({exc})") from None
+    evals = smallmat.singular_values(gram)
     check_condition(evals, SingularDesignError, "Gram matrix is singular")
-    return np.linalg.solve(gram, rhs), evals
+    return np.array(smallmat.cho_solve(low, rhs.tolist())), evals
 
 
 def ols_fit(sample: ClusteredSample, spec: LinearModelSpec) -> Fitted:
@@ -172,9 +181,9 @@ def ols_fit(sample: ClusteredSample, spec: LinearModelSpec) -> Fitted:
     X, y = spec.design(sample.values)
     if sample.n_units == 0:
         raise EmptySampleError("OLS needs at least one unit")
-    gram = X.T @ X
-    theta, evals = _solve_gram(gram, X.T @ y)
-    resid = y - X @ theta
+    gram = crossprod(X, X)
+    theta, evals = _solve_gram(gram, crossprod(X, y))
+    resid = y - crossprod(X.T, theta)
     scores = sum_by_cell(sample, X * resid[:, None])
     jhat = gram / sample.dims.pi_c
     return Fitted(
@@ -186,8 +195,8 @@ def ols_fit(sample: ClusteredSample, spec: LinearModelSpec) -> Fitted:
         OlsCellData(sample, X, y),
         {
             "n_units": sample.n_units,
-            "residual_norm": float(np.linalg.norm(resid)),
-            "gram_condition": float(evals[-1] / evals[0]),
+            "residual_norm": math.sqrt(crossprod(resid, resid)),
+            "gram_condition": evals[-1] / evals[0],
             "jhat": jhat,
         },
     )

@@ -12,11 +12,11 @@ The probit link is a numpy kernel (``_probit_lam``), so importing this
 module, and fitting or bootstrapping the probit, loads numpy only; scipy
 is imported where it is called, by Nelder-Mead (``scipy.optimize``).
 
-Every small matrix operation here except the sandwich ``gmm_variance``
-(which OLS shares) runs in :mod:`multiway.smallmat`, in Python floats and
-a fixed order: the weight's positive-definiteness check and root, the
-two-step inverse, the identification check, Gauss-Newton's products and
-step, the objective's quadratic form. The identity-weighted fit and every
+Every small matrix operation here runs in :mod:`multiway.smallmat`, in
+Python floats and a fixed order: the weight's positive-definiteness check
+and root, the two-step inverse, the identification check, Gauss-Newton's
+products and step, the objective's quadratic form and the sandwich
+``gmm_variance`` (which OLS shares). The fit, its variance and every
 bootstrap replicate therefore call no BLAS or LAPACK, and their bits do
 not depend on the host's OpenBLAS kernels.
 """
@@ -258,14 +258,17 @@ def gmm_variance(jhat: np.ndarray, hhat: np.ndarray, xi: WeightMatrix) -> np.nda
     (J' Xi J, J' Xi H Xi J). A square J, where Xi cancels, must be finite
     with singular values that pass ``check_condition``; V = J^-1 H J^-T
     then comes from two solves with J, which do not square its condition."""
-    if jhat.shape[0] > jhat.shape[1]:
-        jxi = jhat.T @ xi.xi
-        jhat, hhat = jxi @ jhat, jxi @ hhat @ jxi.T
-    if not np.isfinite(jhat).all():
+    j, h = jhat.tolist(), hhat.tolist()
+    if len(j) > len(j[0]):
+        jxi = smallmat.matmul(list(zip(*j)), xi.xi.tolist())
+        j, h = smallmat.matmul(jxi, j), smallmat.matmul(smallmat.matmul(jxi, h), list(zip(*jxi)))
+    if not smallmat.isfinite(j):
         raise SingularDesignError("J is not finite")
-    s = np.linalg.svd(jhat, compute_uv=False)
-    check_condition(s[::-1], SingularDesignError, "J is singular")
-    v = np.linalg.solve(jhat, np.linalg.solve(jhat, hhat).T).T
+    check_condition(smallmat.singular_values(j), SingularDesignError, "J is singular")
+    try:
+        v = np.array(smallmat.solve(j, list(zip(*smallmat.solve(j, h))))).T
+    except smallmat.Singular as exc:
+        raise SingularDesignError(f"J is singular ({exc})") from None
     return 0.5 * (v + v.T)
 
 

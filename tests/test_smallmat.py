@@ -1,12 +1,13 @@
-"""The small fixed-order matrix kernel, and the GMM paths that run on it.
+"""The small fixed-order matrix kernel, and the paths that run on it.
 
-``multiway.smallmat`` does GMM's p x p and L x p algebra in Python floats.
-Its results are compared here with ``numpy.linalg`` (the reference, in this
-file only) on random and ill-conditioned matrices, and the smallest
-singular value with mpmath, since LAPACK's own is accurate only relative
-to the largest. The identity-weighted probit fit, its bootstrap replicates
-and the quantile-IV grid fit then run with every ``numpy.linalg`` function
-refusing, and a child process writes the same bootstrap bytes under two
+``multiway.smallmat`` does every p x p and L x p matrix of the package in
+Python floats. Its results are compared here with ``numpy.linalg`` (the
+reference, in this file only) on random and ill-conditioned matrices, and
+the smallest singular value with mpmath, since LAPACK's own is accurate
+only relative to the largest. The probit fit, its variance and bootstrap
+replicates, the quantile-IV grid fit, the OLS fit with its three variances
+and its bootstrap, and the Wald region then run with every ``numpy.linalg``
+function refusing, and child processes write the same bytes under two
 OpenBLAS kernel sets.
 """
 
@@ -21,10 +22,11 @@ import mpmath
 import numpy as np
 import pytest
 
-from multiway import Dimensions, smallmat
-from multiway.bootstrap import run_bootstrap
+from multiway import Dimensions, LinearModelSpec, ols_fit, smallmat
+from multiway.bootstrap import PigeonholeWeights, draw_weights, run_bootstrap
 from multiway.data import sample_from_cell_ids
-from multiway.errors import SingularVarianceError
+from multiway.errors import SingularDesignError, SingularVarianceError
+from multiway.estimators import weighted_ols
 from multiway.gmm import (
     WeightMatrix,
     gmm_fit,
@@ -32,6 +34,8 @@ from multiway.gmm import (
     probit_score_moments,
     quantile_iv_moments,
 )
+from multiway.seeding import stream_rng
+from multiway.variance import wald_region
 
 EPS = np.finfo(np.float64).eps
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -161,8 +165,51 @@ def test_singular_values_of_extreme_scales_and_zero_columns():
     assert smallmat.isfinite([[1.0, 2.0]]) and not smallmat.isfinite([[1.0, math.nan]])
 
 
+SOLVE_CASES = [(n, cond, seed) for n in (1, 2, 3, 4) for cond in (1.0, 1e4, 1e8)
+               for seed in range(3)]
+
+
+@pytest.mark.parametrize("n,cond,seed", SOLVE_CASES)
+def test_solve_matches_numpy_within_a_backward_error_bound(n, cond, seed):
+    rng = np.random.default_rng(1000 + 100 * n + seed)
+    s = np.geomspace(1.0, 1.0 / cond, n) if n > 1 else np.ones(1)
+    a = _orthogonal(rng, n) * s @ _orthogonal(rng, n).T * 10.0 ** rng.integers(-3, 4)
+    b = rng.normal(size=(n, 3))
+    x = np.array(smallmat.solve(a.tolist(), b.tolist()))
+    assert x.shape == (n, 3)
+    # x solves a system within a few ulps of a: small residuals, column by column
+    scale = n * np.abs(a).max() * np.abs(x).max(axis=0) + np.abs(b).max(axis=0)
+    assert (np.abs(a @ x - b).max(axis=0) <= 4 * n * EPS * scale).all()
+    # so it is within cond(a) ulps of numpy's solution
+    x_ref = np.linalg.solve(a, b)
+    assert np.abs(x - x_ref).max() <= 4 * n * EPS * cond * np.abs(x_ref).max()
+
+
+def test_solve_swaps_rows_past_a_zero_pivot():
+    assert smallmat.solve([[0.0, 2.0], [4.0, 1.0]], [[2.0], [9.0]]) == [[2.0], [1.0]]
+    # the second pivot is zero once the first column is eliminated
+    a = [[1.0, 1.0, 0.0], [1.0, 1.0, 1.0], [0.0, 1.0, 1.0]]
+    assert smallmat.solve(a, [[3.0], [6.0], [5.0]]) == [[1.0], [2.0], [3.0]]
+
+
+@pytest.mark.parametrize(
+    "a",
+    [
+        [[1.0, 2.0], [2.0, 4.0]],
+        [[0.0, 0.0], [0.0, 1.0]],
+        [[0.0]],
+        [[1.0, math.nan], [0.0, 1.0]],  # no pivot reads the NaN
+        [[math.inf, 0.0], [0.0, 1.0]],
+        [[1e308, 1e308], [-1e308, 1e308]],  # the second pivot overflows
+    ],
+)
+def test_solve_refuses_singular_and_non_finite_matrices(a):
+    with pytest.raises(smallmat.Singular):
+        smallmat.solve(a, [[1.0] for _ in a])
+
+
 # ---------------------------------------------------------------------
-# The GMM paths with numpy.linalg refusing
+# The fit, variance and bootstrap paths with numpy.linalg refusing
 # ---------------------------------------------------------------------
 
 
@@ -194,7 +241,24 @@ def test_probit_fit_and_bootstrap_need_no_numpy_linalg(no_linalg):
         np.linalg.solve(np.eye(2), np.ones(2))
     fitted = gmm_fit(sample, probit_score_moments(0, 1))
     assert np.isfinite(fitted.theta).all()
+    for kind in ("v1", "cgm"):
+        v = fitted.variance(kind).matrix
+        assert v.shape == (2, 2) and np.isfinite(v).all()
     reps = run_bootstrap(fitted.hook, sample, fitted.theta, b=20, seed=5)
+    assert reps.n_failed == 0 and reps.thetas.shape == (20, 2)
+
+
+def test_ols_fit_variances_wald_regions_and_bootstrap_need_no_numpy_linalg(no_linalg):
+    sample = _probit_sample()
+    fitted = ols_fit(sample, LinearModelSpec(outcome_index=1, regressor_indices=(2,)))
+    assert np.isfinite(fitted.theta).all() and fitted.meta["gram_condition"] >= 1.0
+    for kind in ("v1", "cgm"):
+        region = wald_region(fitted.theta, fitted.variance(kind), sample.dims, 0.05)
+        assert region.contains(fitted.theta)
+        assert not region.contains(fitted.theta + 10 * np.sqrt(np.diag(region.matrix)))
+    with pytest.raises(SingularVarianceError, match="indefinite"):  # v2 is, on this sample
+        wald_region(fitted.theta, fitted.variance("v2"), sample.dims, 0.05)
+    reps = run_bootstrap(fitted.hook, fitted.prepared, fitted.theta, b=20, seed=5)
     assert reps.n_failed == 0 and reps.thetas.shape == (20, 2)
 
 
@@ -218,32 +282,75 @@ def test_weight_matrix_refusals_and_root_from_the_factor():
             WeightMatrix(np.array(bad))
 
 
+def test_a_singular_weighted_gram_is_a_failed_replicate():
+    # the regressor is nonzero in cell (1, 1) only and sums to 0 there, so a
+    # replicate that gives that cell no weight has the Gram [[n, 0], [0, 0]]
+    dims = Dimensions((3, 3))
+    ids = np.repeat(np.arange(dims.pi_c), 2)
+    x = np.where(ids == 0, np.tile([1.0, -1.0], dims.pi_c), 0.0)
+    y = np.random.default_rng(2).normal(size=ids.shape[0])
+    sample = sample_from_cell_ids(dims, ids, np.column_stack([y, x]))
+    fitted = ols_fit(sample, LinearModelSpec(outcome_index=0, regressor_indices=(1,)))
+    drop = PigeonholeWeights(dims, (np.array([0, 3, 0]), np.array([3, 0, 0])))
+    with pytest.raises(SingularDesignError, match="Gram matrix is singular"):
+        weighted_ols(fitted.prepared, drop)
+    b, seed = 40, 1
+    with pytest.warns(RuntimeWarning, match="bootstrap replicates failed"):
+        reps = run_bootstrap(fitted.hook, fitted.prepared, fitted.theta, b=b, seed=seed)
+    kept = [idx for idx in range(b)
+            if draw_weights(dims, stream_rng(seed, idx)).cell_weights()[0] > 0]
+    assert 0 < len(kept) < b and reps.indices.tolist() == kept
+
+
 # ---------------------------------------------------------------------
 # The same bytes under two OpenBLAS kernel sets
 # ---------------------------------------------------------------------
 
+BOOTSTRAP_FILES = ("", (".replicates.csv", ".ci.json"))
+# run -> (command before --input and --dims, the suffix of its -o path, and
+# the suffixes that path takes in the files it writes)
+CHILD_RUNS = {
+    "bootstrap-gmm": (["bootstrap", "--estimator", "gmm", "--model-config", "{model}",
+                       "--b", "99", "--seed", "7"], *BOOTSTRAP_FILES),
+    "estimate-ols": (["estimate", "--estimator", "ols", "--outcome", "1", "--regressors", "0",
+                      "--variance", "v1,v2,cgm"], ".json", ("",)),
+    "bootstrap-ols": (["bootstrap", "--estimator", "ols", "--outcome", "1", "--regressors", "0",
+                       "--b", "99", "--seed", "7"], *BOOTSTRAP_FILES),
+}
 
-def _bootstrap_bytes(tmp_path, coretype):
+
+def _child_bytes(tmp_path, coretype, run):
     env = {k: v for k, v in os.environ.items() if k != "NPY_DISABLE_CPU_FEATURES"}
     env.update(OPENBLAS_CORETYPE=coretype, OPENBLAS_NUM_THREADS="1",
                PYTHONPATH=os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")])))
     data, model = tmp_path / "probit.csv", tmp_path / "probit.json"
     model.write_text('{"family": "probit", "outcome_index": 0, "x_index": 1}')
-    run = [sys.executable, "-m", "multiway.cli"]
+    cli = [sys.executable, "-m", "multiway.cli"]
     if not data.exists():
-        subprocess.run(run + ["simulate", "--dgp", "probit", "--dims", "12,12",
+        subprocess.run(cli + ["simulate", "--dgp", "probit", "--dims", "12,12",
                               "--cell-sizes", "poisson:4", "--seed", "3", "-o", str(data)],
                        env=env, check=True, capture_output=True)
-    out = tmp_path / coretype
-    subprocess.run(run + ["bootstrap", "--input", str(data), "--dims", "12,12",
-                          "--estimator", "gmm", "--model-config", str(model),
-                          "--b", "99", "--seed", "7", "-o", str(out)],
+    args, out_suffix, suffixes = CHILD_RUNS[run]
+    out = str(tmp_path / f"{run}-{coretype}") + out_suffix
+    subprocess.run(cli + [a.format(model=model) for a in args]
+                   + ["--input", str(data), "--dims", "12,12", "-o", out],
                    env=env, check=True, capture_output=True)
-    return [Path(f"{out}.{suffix}").read_bytes() for suffix in ("replicates.csv", "ci.json")]
+    return [Path(out + suffix).read_bytes() for suffix in suffixes]
 
 
 def test_probit_bootstrap_bytes_do_not_depend_on_the_blas_kernels(tmp_path):
-    haswell = _bootstrap_bytes(tmp_path, "Haswell")
-    prescott = _bootstrap_bytes(tmp_path, "Prescott")
+    haswell = _child_bytes(tmp_path, "Haswell", "bootstrap-gmm")
+    prescott = _child_bytes(tmp_path, "Prescott", "bootstrap-gmm")
     assert haswell[0].count(b"\n") == 100  # header and 99 replicates
+    assert haswell == prescott
+
+
+@pytest.mark.parametrize("run", ["estimate-ols", "bootstrap-ols"])
+def test_ols_bytes_do_not_depend_on_the_blas_kernels(tmp_path, run):
+    haswell = _child_bytes(tmp_path, "Haswell", run)
+    prescott = _child_bytes(tmp_path, "Prescott", run)
+    if run == "bootstrap-ols":
+        assert haswell[0].count(b"\n") == 100
+    else:
+        assert all(f'"{kind}"'.encode() in haswell[0] for kind in ("v1", "v2", "cgm"))
     assert haswell == prescott
