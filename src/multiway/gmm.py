@@ -8,9 +8,9 @@ positive multiway variance estimator, applied to the per-cell moment
 sums. Includes ready-made moment models for quantile IV and the probit
 pseudo-score.
 
-The probit link is a numpy kernel (``_probit_lam``), so importing this
-module, and fitting or bootstrapping the probit, loads numpy only; scipy
-is imported where it is called, by Nelder-Mead (``scipy.optimize``).
+The probit link is a numpy kernel (``_probit_lam``) and Nelder-Mead a
+numpy port of scipy's bounded variant (``_nelder_mead``), so every fit
+here needs numpy only.
 
 Every small matrix operation here runs in :mod:`multiway.smallmat`, in
 Python floats and a fixed order: the weight's positive-definiteness check
@@ -407,14 +407,81 @@ def _warm_rows(sample: ClusteredSample, model: MomentModel, theta: np.ndarray):
     return m, None if model.jacobian is None else _jacobian_rows(sample, model, theta)
 
 
-def _start_simplex(x0: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    """Nelder-Mead's first simplex: x0 and, per coordinate, x0 moved by a
-    tenth of the box width, inward where the step would leave the box.
-    scipy's default (5% of each coordinate, 0.00025 at zero) can see a
-    single value of a step-function objective and stop at x0."""
+class _Spent(Exception):
+    """A Nelder-Mead start asked for an evaluation past its budget."""
+
+
+def _nelder_mead(value, x0, lo, hi, maxfev):
+    """Bounded Nelder-Mead on ``value`` from ``x0`` in the box [lo, hi];
+    returns (x, its value, evaluations, converged).
+
+    The standard coefficients (reflection 1, expansion 2, contraction and
+    shrink 1/2), every trial point clipped to the box, stopping when the
+    simplex spans at most 1e-7 and its values 1e-10, or when ``maxfev``
+    evaluations are spent, mid-iteration if need be. The expressions, the
+    ``np.argsort`` orderings and the stop are scipy's non-adaptive
+    ``minimize(method="Nelder-Mead", bounds=...)``, so the two agree bit for
+    bit. The first simplex moves each coordinate of x0 by a tenth of the
+    box width, inward where the step would leave the box: scipy's default
+    (5% of each coordinate, 0.00025 at zero) can see a single value of a
+    step-function objective and stop at x0.
+    """
+    n, nfev = len(x0), 0
+
+    def f(x):
+        nonlocal nfev
+        if nfev >= maxfev:
+            raise _Spent
+        nfev += 1
+        return value(x)
+
+    def ordered(sim, fsim):
+        ind = np.argsort(fsim)
+        return np.take(sim, ind, 0), np.take(fsim, ind, 0)
+
     step = 0.1 * (hi - lo)
-    step = np.where(x0 + step > hi, -step, step)
-    return np.vstack([x0, x0 + np.diag(step)])
+    sim = np.vstack([x0, x0 + np.diag(np.where(x0 + step > hi, -step, step))])
+    sim = np.clip(np.where(sim > hi, 2 * hi - sim, sim), lo, hi)
+    fsim = np.full(n + 1, np.inf)
+    try:
+        for k in range(n + 1):
+            fsim[k] = f(sim[k])
+    except _Spent:
+        pass
+    sim, fsim = ordered(*ordered(sim, fsim))  # as scipy: argsort can reorder ties
+    while nfev < maxfev:
+        if (np.max(np.abs(sim[1:] - sim[0])) <= 1e-7
+                and np.max(np.abs(fsim[0] - fsim[1:])) <= 1e-10):
+            break
+        try:
+            xbar = np.add.reduce(sim[:-1], 0) / n
+            xr = np.clip(2 * xbar - sim[-1], lo, hi)
+            fxr = f(xr)
+            if fxr < fsim[0]:
+                xe = np.clip(3 * xbar - 2 * sim[-1], lo, hi)
+                fxe = f(xe)
+                sim[-1], fsim[-1] = (xe, fxe) if fxe < fxr else (xr, fxr)
+            elif fxr < fsim[-2]:
+                sim[-1], fsim[-1] = xr, fxr
+            else:
+                if fxr < fsim[-1]:  # contract outside
+                    xc = np.clip(1.5 * xbar - 0.5 * sim[-1], lo, hi)
+                    fxc = f(xc)
+                    shrink = not fxc <= fxr  # a NaN shrinks, as in scipy
+                else:  # contract inside
+                    xc = np.clip(0.5 * xbar + 0.5 * sim[-1], lo, hi)
+                    fxc = f(xc)
+                    shrink = not fxc < fsim[-1]
+                if not shrink:
+                    sim[-1], fsim[-1] = xc, fxc
+                else:
+                    for j in range(1, n + 1):
+                        sim[j] = np.clip(sim[0] + 0.5 * (sim[j] - sim[0]), lo, hi)
+                        fsim[j] = f(sim[j])
+        except _Spent:
+            pass
+        sim, fsim = ordered(sim, fsim)
+    return sim[0], np.min(fsim), nfev, nfev < maxfev
 
 
 class _Units(NamedTuple):
@@ -490,26 +557,16 @@ def _minimize(sample, model, xi, config, unit_weights=None, starts=None, warm=No
             )
         return theta, val, budget.used
 
-    from scipy import optimize  # deferred: slow to import, needed only here
-
     best = (None, np.inf)
     any_converged = False
     per_start = config.max_evals // config.n_starts
     lo, hi = model.bounds[:, 0], model.bounds[:, 1]
     for start in starts or _starts(model, config):
-        x0 = np.clip(start, lo, hi)
-        res = optimize.minimize(
-            value,
-            x0,
-            method="Nelder-Mead",
-            bounds=model.bounds,
-            options={"maxfev": per_start, "xatol": 1e-7, "fatol": 1e-10,
-                     "initial_simplex": _start_simplex(x0, lo, hi)},
-        )
-        budget.spend(int(res.nfev))
-        any_converged = any_converged or bool(res.success)
-        if res.fun < best[1]:
-            best = (res.x, float(res.fun))
+        x, fun, nfev, ok = _nelder_mead(value, np.clip(start, lo, hi), lo, hi, per_start)
+        budget.spend(nfev)
+        any_converged = any_converged or ok
+        if fun < best[1]:
+            best = (x, float(fun))
     if best[0] is None or not any_converged:
         raise ConvergenceError(
             "Nelder-Mead exhausted its budget on every start",

@@ -16,8 +16,8 @@ its variance is the estimator of its scores, then its bread.
 ``wald_region`` takes its normal and chi-square quantiles from
 :func:`multiway.tails.wald_quantiles`, which solves for them in
 :mod:`decimal` and rounds them to float once, so they are correctly
-rounded. It imports that module when first called, so importing this
-module loads numpy only, and no Wald region loads scipy.
+rounded. It imports that module, and with it :mod:`decimal`, when first
+called.
 """
 
 from __future__ import annotations

@@ -1,13 +1,13 @@
-"""Cold start: importing multiway loads numpy only, and so do the Wald
-regions of ``estimate`` and ``mc``, whose quantiles need only the
-standard library, and the probit GMM, whose link is a numpy kernel.
+"""Cold start: numpy is the package's only numerical dependency.
+Importing multiway and running every command load no scipy: the Wald
+quantiles need only the standard library, the probit link is a numpy
+kernel, linked cell sizes take expit in Python floats and their true value
+from a trapezoid rule, and Nelder-Mead is a numpy port.
 
-``scipy.special``, ``scipy.optimize`` and ``scipy.integrate`` are imported
-inside the functions that call them (linked cell sizes and their true
-value, Nelder-Mead for several nonsmooth coefficients), and the process
-pool only when ``mc`` runs more than one worker. Every check runs in a
-fresh interpreter, since an earlier test in this process may already have
-loaded scipy.
+Every check runs in a fresh interpreter in which ``import scipy`` fails,
+so a stray import fails the test instead of merely loading, and since an
+earlier test in this process may already have loaded scipy. The process
+pool is imported only when ``mc`` runs more than one worker.
 """
 
 import json
@@ -24,12 +24,16 @@ HEAVY = ("scipy", "multiprocessing", "concurrent.futures.process")
 
 
 def fresh(*argv, module="multiway.cli"):
-    """Import ``module`` in a fresh interpreter and run the CLI on ``argv``
-    (if any); returns the exit code and the heavy modules then loaded."""
+    """Import ``module`` in a fresh interpreter whose ``import scipy`` raises
+    ImportError, and run the CLI on ``argv`` (if any); returns the exit
+    code and the heavy modules then loaded."""
     code = (
-        f"import json, sys, {module}\n"
+        "import json, sys\n"
+        "sys.modules['scipy'] = None\n"
+        f"import {module}\n"
         "code = multiway.cli.main(sys.argv[1:]) if len(sys.argv) > 1 else 0\n"
-        f"heavy = sorted(m for m in sys.modules if m.startswith({HEAVY!r}))\n"
+        "heavy = sorted(m for m, v in sys.modules.items()\n"
+        f"               if v is not None and m.startswith({HEAVY!r}))\n"
         "print(json.dumps({'code': code, 'heavy': heavy}))\n"
     )
     path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
@@ -103,11 +107,30 @@ def test_wald_mc_loads_no_scipy(tmp_path):
     assert {m["method"] for m in methods} == {"wald-v1", "wald-cgm"}
 
 
-def test_linked_cell_sizes_load_scipy_special_on_first_use(tmp_path):
+def test_linked_cell_sizes_load_no_scipy(tmp_path):
     res = fresh("simulate", "--dgp", "additive", "--dims", "6,6",
                 "--cell-sizes", "poisson:2:linked", "--seed", "3", "-o", tmp_path / "l.csv")
-    assert res["code"] == 0
-    assert "scipy.special" in res["heavy"]
+    assert res == {"code": 0, "heavy": []}
+    assert json.loads((tmp_path / "l.truth.json").read_text())["theta0"][0] > 0
+
+
+def test_linked_mc_loads_no_scipy(tmp_path):
+    config = tmp_path / "mc.json"
+    config.write_text(json.dumps({
+        "dgp": {"variant": "additive", "sigma_factors": [1.0, 1.0],
+                "cell_sizes": {"kind": "one_plus_poisson", "mu": 2.0, "factor_linked": True}},
+        "dims": [5, 5],
+        "replications": 4,
+        "methods": ["wald-v1", "boot-symabs"],
+        "bootstrap_b": 40,
+        "estimator": "ratio",
+        "seed": 3,
+    }))
+    base = tmp_path / "mc"
+    res = fresh("mc", "--config", config, "--workers", 1, "-o", base)
+    assert res == {"code": 0, "heavy": []}
+    methods = json.loads(Path(f"{base}.json").read_text())["methods"]
+    assert {m["method"] for m in methods} == {"wald-v1", "boot-symabs"}
 
 
 @pytest.fixture(scope="module")
@@ -159,7 +182,7 @@ def test_probit_mc_loads_no_scipy(tmp_path):
     assert {m["method"] for m in methods} == {"wald-v1", "boot-symabs"}
 
 
-def test_two_coefficient_quantile_iv_loads_scipy_optimize_on_first_use(tmp_path):
+def test_two_coefficient_quantile_iv_loads_no_scipy(tmp_path):
     # W = 0.5 + 1.5 X + U on 6x5 cells; the coefficients of (1, X) are fit by Nelder-Mead
     rng = np.random.default_rng(3)
     cells, x = rng.integers(1, [7, 6], size=(120, 2)), rng.normal(size=120)
@@ -173,8 +196,8 @@ def test_two_coefficient_quantile_iv_loads_scipy_optimize_on_first_use(tmp_path)
                                  "x_indices": [1, 2], "z_indices": [1, 2]}))
     res = fresh("estimate", "--input", data, "--dims", "6,5", "--estimator", "gmm",
                 "--model-config", model, "-o", tmp_path / "est.json")
-    assert res["code"] == 0
-    assert "scipy.optimize" in res["heavy"]
+    assert res == {"code": 0, "heavy": []}
+    assert len(json.loads((tmp_path / "est.json").read_text())["theta"]) == 2
 
 
 def test_mc_writes_the_same_bytes_with_one_and_two_worker_processes(tmp_path):
